@@ -15,17 +15,23 @@ Every edge records how the slots of its two ends are glued, as a
 permutation written against both ends' ascending slot labels; the
 identity permutation means the strands run parallel (no twist).
 
+Every count on the colored side is an orbit count of the matchings,
+taken by one kernel, ``_orbits``: the {a, b}-faces are the cycles of
+sigma_b^-1 sigma_a on whites, the bubbles of a color set S are the
+orbits on whites of those compositions for b in S, a = min S, and
+connectivity is S = all colors.
+
 Graphs are immutable once built; every operation here is a pure read,
 so values can be shared freely between concurrent tasks.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from functools import cache, cached_property
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from ._unionfind import UnionFind
 from .errors import (
     BadParameters,
     BadPermutation,
@@ -175,14 +181,8 @@ class StrandedGraph:
                         yield StrandSlot(v.label, pos, slot)
 
 
-IDENTITY_CACHE: dict[int, tuple[int, ...]] = {}
-
-
 def identity_permutation(rank: int) -> tuple[int, ...]:
-    perm = IDENTITY_CACHE.get(rank)
-    if perm is None:
-        perm = IDENTITY_CACHE[rank] = tuple(range(rank))
-    return perm
+    return tuple(range(rank))
 
 
 def build_colored(
@@ -293,11 +293,84 @@ def validate_colored(g: ColoredGraph) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations))
 
 
-def _canonical_order(g: ColoredGraph) -> dict[str, int]:
-    # whites first, then blacks, in declaration order
-    order = {label: i for i, label in enumerate(g.whites)}
-    order.update({label: g.n + j for j, label in enumerate(g.blacks)})
-    return order
+def _inverse(perm: Sequence[int]) -> list[int]:
+    inv = [0] * len(perm)
+    for i, j in enumerate(perm):
+        inv[j] = i
+    return inv
+
+
+def _orbits(perms: Sequence[Sequence[int]], n: int) -> list[int]:
+    """Label every point 0..n-1 with the least point of its orbit under
+    the group generated by ``perms``."""
+    labels = [-1] * n
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = start
+        queue = [start]
+        for i in queue:
+            for perm in perms:
+                j = perm[i]
+                if labels[j] < 0:
+                    labels[j] = start
+                    queue.append(j)
+    return labels
+
+
+def _groups(labels: list[int]) -> list[list[int]]:
+    """Points grouped by orbit label, each ascending, orbits by least point."""
+    groups: dict[int, list[int]] = {}
+    for i, root in enumerate(labels):
+        groups.setdefault(root, []).append(i)
+    return list(groups.values())
+
+
+def _face_step(g: ColoredGraph, a: int, b: int) -> list[int]:
+    """sigma_b^-1 sigma_a on whites; its cycles are the {a, b}-faces."""
+    inv_b = _inverse(g.matchings[b])
+    return [inv_b[j] for j in g.matchings[a]]
+
+
+class _Bubbles(NamedTuple):
+    colors: tuple[int, ...]
+    whites: list[list[int]]  # white indices of each bubble, by least white
+    faces: list[int]  # two-color cycles over ``colors`` inside each bubble
+
+
+def _bubble_table(g: ColoredGraph, subsets: Iterable[tuple[int, ...]]) -> list[_Bubbles]:
+    """The bubbles of each non-empty, ascending color subset, as orbits.
+
+    A bubble's blacks are sigma_a of its whites, a = min of the subset,
+    and its face count is the number of {x, y}-cycle roots inside it.
+    """
+    step = cache(lambda a, b: _face_step(g, a, b))
+    cycle_roots = cache(lambda a, b: [
+        i for i, root in enumerate(_orbits([step(a, b)], g.n)) if i == root])
+    table = []
+    for colors in subsets:
+        labels = _orbits([step(colors[0], b) for b in colors[1:]], g.n)
+        faces = [0] * g.n
+        for x, y in itertools.combinations(colors, 2):
+            for i in cycle_roots(x, y):
+                faces[labels[i]] += 1
+        groups = _groups(labels)
+        table.append(_Bubbles(colors, groups, [faces[whites[0]] for whites in groups]))
+    return table
+
+
+def _component(g: ColoredGraph, colors: tuple[int, ...], whites: list[int]) -> Component:
+    """Whites then blacks by index; edges by color, then white index."""
+    blacks = sorted(g.matchings[colors[0]][i] for i in whites)
+    return Component(
+        tuple(g.whites[i] for i in whites) + tuple(g.blacks[j] for j in blacks),
+        tuple(ColoredEdge(c, g.whites[i], g.blacks[g.matchings[c][i]])
+              for c in colors for i in whites))
+
+
+def _connected(g: ColoredGraph) -> bool:
+    """Connectivity: one bubble over all colors."""
+    return len(_bubble_table(g, [tuple(g.colors)])[0].whites) == 1
 
 
 def components(g: ColoredGraph, colors: set[int] | frozenset[int]) -> list[Component]:
@@ -310,25 +383,10 @@ def components(g: ColoredGraph, colors: set[int] | frozenset[int]) -> list[Compo
     for c in colors:
         if not 0 <= c <= g.rank:
             raise ColorOutOfRange(f"color {c} outside 0..{g.rank}")
-    n = g.n
-    uf = UnionFind(2 * n)
-    for c in sorted(colors):
-        sigma = g.matchings[c]
-        for i in range(n):
-            uf.union(i, n + sigma[i])
-    groups = uf.groups()
-    labels = list(g.whites) + list(g.blacks)
-    comps = []
-    for members in groups:
-        member_set = set(members)
-        edges = tuple(
-            ColoredEdge(c, g.whites[i], g.blacks[g.matchings[c][i]])
-            for c in sorted(colors)
-            for i in range(n)
-            if i in member_set
-        )
-        comps.append(Component(tuple(labels[m] for m in members), edges))
-    return comps
+    if not colors:
+        return [Component((label,), ()) for label, _parity in g.nodes()]
+    (row,) = _bubble_table(g, [tuple(sorted(colors))])
+    return [_component(g, row.colors, whites) for whites in row.whites]
 
 
 def to_stranded(g: ColoredGraph) -> StrandedGraph:
@@ -419,14 +477,17 @@ def build_stranded(
 
 
 def stranded_components(s: StrandedGraph) -> list[tuple[str, ...]]:
-    """Vertex sets of the connected components of a stranded graph."""
+    """Vertex sets of the connected components of a stranded graph: the
+    orbits on half-edges i * (D+1) + position of the edge involution and
+    the within-vertex rotation."""
+    d = s.rank + 1
     index = {v.label: i for i, v in enumerate(s.vertices)}
-    uf = UnionFind(len(s.vertices))
-    for e in s.edges:
-        r1 = s.halfedge_refs[e.halfedges[0]]
-        r2 = s.halfedge_refs[e.halfedges[1]]
-        uf.union(index[r1.vertex], index[r2.vertex])
+    half = {h: index[r.vertex] * d + r.position for h, r in s.halfedge_refs.items()}
+    other = list(range(len(half)))
+    for h1, h2 in (e.halfedges for e in s.edges):
+        other[half[h1]], other[half[h2]] = half[h2], half[h1]
+    turn = [h - h % d + (h + 1) % d for h in range(len(half))]
     return [
-        tuple(s.vertices[i].label for i in group)
-        for group in uf.groups()
+        tuple(s.vertices[h // d].label for h in group[::d])
+        for group in _groups(_orbits([other, turn], len(half)))
     ]

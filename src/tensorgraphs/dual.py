@@ -7,10 +7,10 @@ to a point.  Only the f-vector is produced, not the gluing itself.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .bubbles import enumerate_bubbles
-from .core import ColoredGraph
+from .core import ColoredGraph, _bubble_table
 from .errors import WrongRank
 from .topology import bicolored_face_count
 
@@ -26,8 +26,8 @@ class DualComplexCounts:
 def dual_counts(g: ColoredGraph) -> DualComplexCounts:
     """f-vector of the dual complex; rank 3 only.
 
-    tetrahedra = 2n and triangles = 4n always; segments and points come
-    from the face and bubble enumerations.
+    tetrahedra = 2n and triangles = 4n always; segments and points are
+    face and bubble counts, taken without building faces or bubbles.
     """
     if g.rank != 3:
         raise WrongRank(f"dual tetrahedral counts are defined for rank 3, got {g.rank}")
@@ -35,7 +35,8 @@ def dual_counts(g: ColoredGraph) -> DualComplexCounts:
         tetrahedra=2 * g.n,
         triangles=4 * g.n,
         segments=bicolored_face_count(g),
-        points=len(enumerate_bubbles(g, 3)),
+        points=sum(len(row.whites)
+                   for row in _bubble_table(g, itertools.combinations(g.colors, 3))),
     )
 
 

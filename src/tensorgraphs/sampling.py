@@ -19,15 +19,15 @@ implementation can reproduce the numbers.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._unionfind import UnionFind
-from .bubbles import bubble_ribbon, enumerate_bubbles
-from .core import ColoredGraph
+from .bubbles import _ribbon
+from .core import ColoredGraph, _bubble_table, _connected
 from .errors import AttemptsExhausted, BadParameters
-from .topology import bicolored_face_count
 
 GENERATOR_ID = "splitmix64/fisher-yates/v1"
 
@@ -100,14 +100,6 @@ def random_colored(rank: int, n: int, seed: int) -> ColoredGraph:
     return ColoredGraph(rank, whites, blacks, matchings)
 
 
-def _is_connected(g: ColoredGraph) -> bool:
-    uf = UnionFind(2 * g.n)
-    for sigma in g.matchings:
-        for i, j in enumerate(sigma):
-            uf.union(i, g.n + j)
-    return uf.count == 1
-
-
 def random_connected(rank: int, n: int, seed: int, max_attempts: int = 100) -> ColoredGraph:
     """Rejection-sample until the full-color graph is connected.
 
@@ -120,7 +112,7 @@ def random_connected(rank: int, n: int, seed: int, max_attempts: int = 100) -> C
         raise BadParameters(f"max_attempts must be >= 1, got {max_attempts}")
     for attempt in range(max_attempts):
         g = random_colored(rank, n, subseed(seed, attempt))
-        if _is_connected(g):
+        if _connected(g):
             return g
     raise AttemptsExhausted(
         f"no connected graph in {max_attempts} attempts "
@@ -150,12 +142,20 @@ class CensusReport:
     generator_id: str
 
 
-def _sample_stats(args: tuple[int, int, int, int]) -> tuple[int, int, tuple[int, ...], bool]:
+def _sample_stats(g: ColoredGraph) -> tuple[int, tuple[int, ...], bool]:
+    """Faces, bubble genera and connectivity of one graph, all from one
+    bubble table: the all-colors row holds every face."""
+    *bubbles, whole = _bubble_table(
+        g, [*itertools.combinations(g.colors, 3), tuple(g.colors)])
+    genera = tuple(
+        _ribbon(row.colors, 2 * len(whites), 3 * len(whites), f).genus
+        for row in bubbles for whites, f in zip(row.whites, row.faces))
+    return sum(whole.faces), genera, len(whole.whites) == 1
+
+
+def _draw_stats(args: tuple[int, int, int, int]) -> tuple[int, tuple[int, ...], bool]:
     rank, n, seed, index = args
-    g = random_colored(rank, n, subseed(seed, index))
-    faces = bicolored_face_count(g)
-    genera = tuple(bubble_ribbon(b).genus for b in enumerate_bubbles(g, 3))
-    return faces, len(genera), genera, _is_connected(g)
+    return _sample_stats(random_colored(rank, n, subseed(seed, index)))
 
 
 def census(
@@ -180,31 +180,22 @@ def census(
     jobs = [(rank, n, seed, j) for j in range(samples)]
     if parallelism > 1:
         with multiprocessing.Pool(parallelism) as pool:
-            results = pool.map(_sample_stats, jobs)
+            results = pool.map(_draw_stats, jobs)
     else:
-        results = [_sample_stats(job) for job in jobs]
+        results = [_draw_stats(job) for job in jobs]
 
-    total_faces = 0
-    connected = 0
-    bubble_counts: dict[int, int] = {}
-    genus_hist: dict[int, int] = {}
-    for faces, n_bubbles, genera, is_conn in results:
-        total_faces += faces
-        connected += is_conn
-        bubble_counts[n_bubbles] = bubble_counts.get(n_bubbles, 0) + 1
-        for genus in genera:
-            genus_hist[genus] = genus_hist.get(genus, 0) + 1
-
-    total_bubbles = sum(genus_hist.values())
+    faces, genera, connected = zip(*results)
+    bubble_counts = Counter(map(len, genera))
+    genus_hist = Counter(itertools.chain.from_iterable(genera))
     return CensusReport(
         samples=samples,
         rank=rank,
         n=n,
         seed=seed,
-        mean_faces=Fraction(total_faces, samples),
+        mean_faces=Fraction(sum(faces), samples),
         bubble_count_distribution={k: bubble_counts[k] for k in sorted(bubble_counts)},
         genus_histogram={k: genus_hist[k] for k in sorted(genus_hist)},
-        planar_fraction=Fraction(genus_hist.get(0, 0), total_bubbles),
-        connected_fraction=Fraction(connected, samples),
+        planar_fraction=Fraction(genus_hist[0], sum(genus_hist.values())),
+        connected_fraction=Fraction(sum(connected), samples),
         generator_id=GENERATOR_ID,
     )

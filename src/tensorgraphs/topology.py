@@ -4,7 +4,9 @@ Faces of a stranded graph are the closed strand circuits: orbits of the
 strand slots under alternating the within-edge gluing and the
 within-vertex pairing.  For colored graphs the same circuits appear as
 the connected components of two-color subgraphs, which are even
-alternating cycles; both routes are implemented and must agree.
+alternating cycles: the {a, b}-faces are the orbits of sigma_b^-1
+sigma_a on whites, counted by the orbit kernel in ``core``.  Both routes
+are implemented and must agree.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import ColoredEdge, ColoredGraph, StrandSlot, StrandedGraph
+from .core import ColoredEdge, ColoredGraph, StrandSlot, StrandedGraph, _face_step, _orbits
 from .errors import BadParameters, Disconnected, NegativeGenus, OddEuler
 
 
@@ -86,68 +88,35 @@ def trace_faces(s: StrandedGraph) -> FaceSet:
     return FaceSet(tuple(faces), len(faces))
 
 
-def _inverse(perm: tuple[int, ...]) -> list[int]:
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return inv
-
-
-def _pair_cycles(g: ColoredGraph, a: int, b: int) -> list[tuple[ColoredEdge, ...]]:
-    """Alternating cycles of the {a, b}-subgraph, a < b.
-
-    Each cycle starts at its least white index with the color-a edge
-    first and has even length.
-    """
-    sigma_a = g.matchings[a]
-    inv_b = _inverse(g.matchings[b])
-    seen = [False] * g.n
-    cycles = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        cycle: list[ColoredEdge] = []
-        i = start
-        while True:
-            seen[i] = True
-            j = sigma_a[i]
-            cycle.append(ColoredEdge(a, g.whites[i], g.blacks[j]))
-            i = inv_b[j]
-            cycle.append(ColoredEdge(b, g.whites[i], g.blacks[j]))
-            if i == start:
-                break
-        cycles.append(tuple(cycle))
-    return cycles
-
-
 def bicolored_faces(g: ColoredGraph) -> FaceSet:
-    """Faces of a colored graph: two-color components over all color pairs."""
+    """Faces of a colored graph: two-color components over all color pairs.
+
+    The {a, b}-cycles, a < b, each start at their least white index with
+    the color-a edge first and have even length.
+    """
     faces: list[tuple[ColoredEdge, ...]] = []
     for a, b in itertools.combinations(g.colors, 2):
-        faces.extend(_pair_cycles(g, a, b))
+        sigma_a, step = g.matchings[a], _face_step(g, a, b)
+        for start, root in enumerate(_orbits([step], g.n)):
+            if start != root:
+                continue
+            cycle: list[ColoredEdge] = []
+            i = start
+            while True:
+                j = sigma_a[i]
+                cycle.append(ColoredEdge(a, g.whites[i], g.blacks[j]))
+                i = step[i]
+                cycle.append(ColoredEdge(b, g.whites[i], g.blacks[j]))
+                if i == start:
+                    break
+            faces.append(tuple(cycle))
     return FaceSet(tuple(faces), len(faces))
 
 
-def pair_cycle_count(g: ColoredGraph, a: int, b: int, whites: set[int] | None = None) -> int:
-    """Number of {a, b}-cycles, optionally restricted to a white subset.
-
-    Counts the cycles of the matching composition directly, without
-    materializing the cycles.
-    """
-    sigma_a = g.matchings[a]
-    inv_b = _inverse(g.matchings[b])
-    domain = range(g.n) if whites is None else sorted(whites)
-    seen: set[int] = set()
-    count = 0
-    for start in domain:
-        if start in seen:
-            continue
-        count += 1
-        i = start
-        while i not in seen:
-            seen.add(i)
-            i = inv_b[sigma_a[i]]
-    return count
+def pair_cycle_count(g: ColoredGraph, a: int, b: int) -> int:
+    """Number of {a, b}-cycles, counted as orbits without walking them."""
+    labels = _orbits([_face_step(g, a, b)], g.n)
+    return sum(1 for i, root in enumerate(labels) if i == root)
 
 
 def bicolored_face_count(g: ColoredGraph) -> int:

@@ -2,15 +2,23 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import given, settings
 
 from tensorgraphs import (
+    ColoredEdge,
+    bicolored_face_count,
     bicolored_faces,
     bubble_census,
     bubble_ribbon,
+    build_colored,
+    components,
+    dual_counts,
     enumerate_bubbles,
+    sampling,
 )
 from tensorgraphs.errors import BadCardinal
 
+from .test_core import colored_graphs
 from .test_topology import composition_cycle_oracle
 
 
@@ -164,3 +172,66 @@ class TestCensus:
         for r in bubble_census(genus_one_graph).records:
             assert r.chi == r.v - r.e + r.f == 2 - 2 * r.genus
             assert r.planar == (r.genus == 0)
+
+
+class TestOrdering:
+    """Two different orders, told apart by labels whose string order
+    differs from their declaration order."""
+
+    @pytest.fixture
+    def graph(self):
+        # colors 0, 1 pair each white with the black at its index; color 2
+        # crosses w20 and w10
+        whites, blacks = ["w9", "w20", "w10"], ["z", "a", "m"]
+        edges = [(c, w, b) for c in (0, 1) for w, b in zip(whites, blacks)]
+        edges += [(2, "w9", "z"), (2, "w20", "m"), (2, "w10", "a")]
+        return build_colored(2, whites, blacks, edges)
+
+    def test_components_by_declaration_index(self, graph):
+        comps = components(graph, {0, 1, 2})
+        assert [c.vertices for c in comps] == [
+            ("w9", "z"), ("w20", "w10", "a", "m")]
+        assert comps[1].edges == (
+            ColoredEdge(0, "w20", "a"), ColoredEdge(0, "w10", "m"),
+            ColoredEdge(1, "w20", "a"), ColoredEdge(1, "w10", "m"),
+            ColoredEdge(2, "w20", "m"), ColoredEdge(2, "w10", "a"))
+        assert [c.vertices for c in components(graph, {0, 1})] == [
+            ("w9", "z"), ("w20", "a"), ("w10", "m")]
+
+    def test_bubbles_by_least_label(self, graph):
+        pairs = [(b.colors, b.vertices) for b in enumerate_bubbles(graph, 2)]
+        assert pairs == [
+            ((0, 1), ("w20", "a")), ((0, 1), ("w10", "m")), ((0, 1), ("w9", "z")),
+            ((0, 2), ("w20", "w10", "a", "m")), ((0, 2), ("w9", "z")),
+            ((1, 2), ("w20", "w10", "a", "m")), ((1, 2), ("w9", "z"))]
+        census = bubble_census(graph)
+        assert [r.bubble.vertices for r in census.records] == [
+            ("w20", "w10", "a", "m"), ("w9", "z")]
+        assert census.records[0].bubble.edges == components(graph, {0, 1, 2})[1].edges
+
+
+class TestCountsOnlyPaths:
+    """Census and dual counts skip bubble objects; they must agree with
+    the object route and with the edge-list oracle."""
+
+    @settings(max_examples=60)
+    @given(colored_graphs())
+    def test_census_records_match_oracle(self, g):
+        for r in bubble_census(g).records:
+            assert r.f == bubble_faces_oracle(r.bubble)
+            assert r.v == len(r.bubble.vertices)
+            assert r.e == len(r.bubble.edges)
+
+    @settings(max_examples=60)
+    @given(colored_graphs())
+    def test_dual_points_count_bubbles(self, g):
+        assert dual_counts(g).points == len(enumerate_bubbles(g, 3))
+
+    @settings(max_examples=60)
+    @given(colored_graphs())
+    def test_census_sample_matches_ribbons(self, g):
+        faces, genera, connected = sampling._sample_stats(g)
+        ribbons = [bubble_ribbon(b).genus for b in enumerate_bubbles(g, 3)]
+        assert sorted(genera) == sorted(ribbons)
+        assert faces == bicolored_face_count(g)
+        assert connected == (len(components(g, set(g.colors))) == 1)

@@ -101,7 +101,7 @@ class TestRandomConnected:
 
     def test_attempts_exhausted_reports_count(self, monkeypatch):
         import tensorgraphs.sampling as sampling
-        monkeypatch.setattr(sampling, "_is_connected", lambda g: False)
+        monkeypatch.setattr(sampling, "_connected", lambda g: False)
         with pytest.raises(AttemptsExhausted) as err:
             sampling.random_connected(3, 2, 5, max_attempts=3)
         assert err.value.attempts == 3
