@@ -8,16 +8,22 @@ Three properties are decided, each with a constructive witness:
 - colorability: edges can be colored so every vertex sees each color
   once in cyclically consecutive order, with a white/black bipartition.
 
-Witnesses are lexicographically least (vertices in label order, choices
-ascending), so identical inputs give identical outputs.
+Both decisions take linear time, with no search: multi-orientability
+is bipartiteness of a corner graph, taken as orbits by ``core._orbits``,
+and colorability propagates a forced color reading from each
+component's least label.  Witnesses are
+lexicographically least (vertices in label order, choices ascending),
+so identical inputs give identical outputs.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import BLACK, WHITE, ColoredGraph, HalfEdgeRef, StrandedGraph
+from .core import (BLACK, WHITE, ColoredGraph, HalfEdgeRef, StrandedGraph, _inverse,
+                   _orbits, stranded_components)
 from .errors import TwistedInput, WrongRank
 
 
@@ -73,8 +79,12 @@ class SignAssignment:
 
 @dataclass(frozen=True)
 class MoObstruction:
-    """Evidence that no rotation works at ``vertex``: one conflicting
-    edge per rotation tried (not a minimality certificate)."""
+    """Evidence that no rotation works at ``vertex``, the first vertex in
+    label order on an odd cycle of the corner graph: per rotation of it,
+    the conflict met when the rest of its component is then signed in
+    label order, each vertex taking its least rotation that agrees with
+    those signed so far; the first vertex left with none reports the
+    conflicting edge of its least rotation.  Evidence, not a certificate."""
 
     vertex: str
     conflicts: tuple[tuple[int, tuple[str, str], str], ...]
@@ -112,12 +122,18 @@ def _edge_endpoints(s: StrandedGraph) -> list[tuple[HalfEdgeRef, HalfEdgeRef]]:
 
 
 def mo_admissibility(s: StrandedGraph, pattern: SignPattern = ALTERNATING) -> MoResult:
-    """Search for corner signs making ``s`` multi-orientable.
+    """Decide whether corner signs can make ``s`` multi-orientable.
 
-    Tries, per vertex in label order, ascending rotations of the pattern
-    along the cyclic half-edge order; an edge may only join a + to a -
-    corner.  Returns the lexicographically least satisfying assignment,
-    or the obstruction met at the deepest point of the search.
+    Signs reading a rotation of the pattern at every vertex and joining
+    + to - along every edge are the 2-colorings of the corner graph that
+    links each edge's corners and each corner pair the pattern signs
+    oppositely under all rotations, so ``s`` is multi-orientable iff
+    that graph is bipartite.  Its orbits are taken on the signed double
+    cover, point 2x + b meaning "corner x has sign bit b", every link
+    flipping b.  Vertices in label order then each take the least
+    rotation agreeing with the orbits already fixed, which gives the
+    lexicographically least assignment, or stop at the first vertex on
+    an odd cycle (see ``MoObstruction``).
 
     Requires rank 3 and untwisted edges (multi-orientability is defined
     only without strand twists).
@@ -128,21 +144,61 @@ def mo_admissibility(s: StrandedGraph, pattern: SignPattern = ALTERNATING) -> Mo
     if not ok:
         raise TwistedInput(f"edges {list(offenders)} carry twists")
 
+    d = s.rank + 1
+    # cyclic neighbours for the alternating pattern, opposite corners for block
+    opposite = [(p, q) for p, q in itertools.combinations(range(d), 2)
+                if all(pattern.rotated(p, r) != pattern.rotated(q, r) for r in range(d))]
     order = sorted(v.label for v in s.vertices)
-    # per vertex, the edges it touches: (position, other vertex, other position, ends)
-    touching: dict[str, list[tuple[int, str, int, tuple[str, str]]]] = {
-        label: [] for label in order
-    }
-    for e, (r1, r2) in zip(s.edges, _edge_endpoints(s)):
-        touching[r1.vertex].append((r1.position, r2.vertex, r2.position, e.halfedges))
-        touching[r2.vertex].append((r2.position, r1.vertex, r1.position, e.halfedges))
+    index = {label: i for i, label in enumerate(order)}
+    corner = {h: d * index[r.vertex] + r.position for h, r in s.halfedge_refs.items()}
+    corners = d * len(order)
 
+    def flipping(pairs: list[tuple[int, int]]) -> list[int]:
+        perm = list(range(2 * corners))
+        for x, y in pairs:
+            for b in (0, 1):
+                perm[2 * x + b], perm[2 * y + b] = 2 * y + 1 - b, 2 * x + 1 - b
+        return perm
+
+    orbit = _orbits(
+        [flipping([(corner[h1], corner[h2]) for h1, h2 in (e.halfedges for e in s.edges)])]
+        + [flipping([(x + p, x + q) for x in range(0, corners, d)]) for p, q in opposite],
+        2 * corners)
+
+    readings = [(rot, [2 * p + (pattern.rotated(p, rot) < 0) for p in range(d)])
+                for rot in pattern.distinct_rotations()]
     rotations: dict[str, int] = {}
-    candidate_rotations = pattern.distinct_rotations()
-    best_depth = -1
-    best_conflicts: list[tuple[int, tuple[str, str], str]] = []
+    held: set[int] = set()  # orbits whose points are fixed true
+    for i, label in enumerate(order):
+        for rot, bits in readings:
+            points = [2 * d * i + b for b in bits]
+            fixing = {orbit[q] for q in points}
+            if not any(orbit[q ^ 1] in held or orbit[q ^ 1] in fixing for q in points):
+                rotations[label] = rot
+                held |= fixing
+                break
+        else:
+            return MoResult(False, None, _mo_obstruction(s, pattern, label))
 
-    def conflict_at(label: str, rot: int) -> tuple[tuple[str, str], str] | None:
+    signs = {HalfEdgeRef(label, pos): pattern.rotated(pos, rotations[label])
+             for label in order for pos in range(d)}
+    return MoResult(True, SignAssignment(signs, pattern, rotations), None)
+
+
+def _mo_obstruction(s: StrandedGraph, pattern: SignPattern, vertex: str) -> MoObstruction:
+    """Greedy signing of the component of ``vertex``, once per rotation of
+    it; the component has no signing, so each rotation meets one conflict."""
+    component = next(c for c in stranded_components(s) if vertex in c)
+    # per vertex, the edges it touches: (position, other vertex, other position, ends)
+    touching: dict[str, list] = {label: [] for label in component}
+    for e, (r1, r2) in zip(s.edges, _edge_endpoints(s)):
+        if r1.vertex in touching:
+            touching[r1.vertex].append((r1.position, r2.vertex, r2.position, e.halfedges))
+            touching[r2.vertex].append((r2.position, r1.vertex, r1.position, e.halfedges))
+    candidates = pattern.distinct_rotations()
+    rest = [(label, candidates) for label in sorted(component) if label != vertex]
+
+    def conflict_at(label: str, rot: int, rotations: dict[str, int]):
         for pos, other, opos, ends in touching[label]:
             if other == label:
                 other_rot = rot
@@ -151,45 +207,21 @@ def mo_admissibility(s: StrandedGraph, pattern: SignPattern = ALTERNATING) -> Mo
             else:
                 continue
             mine = pattern.rotated(pos, rot)
-            theirs = pattern.rotated(opos, other_rot)
-            if mine == theirs:
+            if mine == pattern.rotated(opos, other_rot):
                 sign = "+" if mine > 0 else "-"
                 return ends, f"both ends signed {sign}"
         return None
 
-    def search(depth: int) -> bool:
-        nonlocal best_depth, best_conflicts
-        if depth == len(order):
-            return True
-        label = order[depth]
-        conflicts = []
-        for rot in candidate_rotations:
-            hit = conflict_at(label, rot)
-            if hit is None:
-                rotations[label] = rot
-                if search(depth + 1):
-                    return True
-                del rotations[label]
-            else:
-                conflicts.append((rot, hit[0], hit[1]))
-        # deepest point the search could not extend past; conflicts may be
-        # partial when some rotations failed only further down
-        if depth > best_depth:
-            best_depth = depth
-            best_conflicts = conflicts
-        return False
-
-    if not search(0):
-        return MoResult(
-            False, None,
-            MoObstruction(order[best_depth], tuple(best_conflicts)))
-
-    signs = {
-        HalfEdgeRef(label, pos): pattern.rotated(pos, rotations[label])
-        for label in order
-        for pos in range(s.rank + 1)
-    }
-    return MoResult(True, SignAssignment(signs, pattern, dict(rotations)), None)
+    conflicts = []
+    for rot in candidates:
+        rotations: dict[str, int] = {}
+        for label, tries in [(vertex, (rot,))] + rest:
+            fit = next((r for r in tries if conflict_at(label, r, rotations) is None), None)
+            if fit is None:
+                conflicts.append((rot, *conflict_at(label, tries[0], rotations)))
+                break
+            rotations[label] = fit
+    return MoObstruction(vertex, tuple(conflicts))
 
 
 def verify_sign_assignment(s: StrandedGraph, assignment: SignAssignment) -> bool:
@@ -229,21 +261,20 @@ def colored_mo_witness(g: ColoredGraph) -> SignAssignment:
     return SignAssignment(signs, ALTERNATING, rotations)
 
 
-def _vertex_configs(rank: int) -> list[tuple[int, int]]:
-    # (orientation, offset): color at position p is (offset + orientation*p) mod (rank+1)
-    return [(1, r) for r in range(rank + 1)] + [(-1, r) for r in range(rank + 1)]
-
-
 def colorability(s: StrandedGraph) -> ColorabilityResult:
     """Decide whether ``s`` is the stranded form of some colored graph.
 
-    Backtracking search (vertices in label order, configurations
-    ascending) for an edge coloring in which every vertex sees all
-    colors in cyclically consecutive order, read forward or backward
-    (the stored cyclic list carries no global drawing direction), and
-    every edge glues same-colored strands together.  A white/black
-    bipartition must then exist with every edge joining white to black;
-    the least vertex label of each component is taken white.
+    Every vertex must read all colors in cyclically consecutive order,
+    forward or backward (the stored cyclic list carries no global
+    drawing direction): position p has color (offset + orientation * p)
+    mod (D+1).  An edge maps one end's positions onto the other's by
+    tau (position to position, slot to glued slot); colors agree along
+    it iff tau^-1(x) = t + s*x and the far reading is (orientation * s,
+    offset + orientation * t).  Relabelling colors by such a map keeps
+    a coloring one, so each component's least label reads (1, 0) and one
+    traversal forces the rest: the least coloring, vertices in label
+    order.  It also splits white from black, the least label of each
+    component white, and every edge must join white to black.
 
     The returned witness validates, and its stranded expansion has the
     same (vertex, position) edge structure as the input.
@@ -259,84 +290,48 @@ def colorability(s: StrandedGraph) -> ColorabilityResult:
                 False, None,
                 f"edge joins two half-edges of vertex {r1.vertex!r}; "
                 "an edge must join a white to a black vertex")
+    no_coloring = ColorabilityResult(
+        False, None, "no edge coloring reads cyclically consecutive colors at every vertex")
 
-    slot_labels = [
-        [k for k in range(m) if k != pos] for pos in range(m)
-    ]
-    # per vertex: (my position, my slots, other vertex, other position,
-    # other slots permuted to align with mine)
-    constraints: dict[str, list[tuple[int, list[int], str, int, list[int]]]] = {
-        label: [] for label in order
-    }
+    # per vertex: (neighbour, t, s), the neighbour reading at x the color read here at t + s*x
+    steps: dict[str, list[tuple[str, int, int]]] = {label: [] for label in order}
     for e, (r1, r2) in zip(s.edges, endpoints):
-        a = slot_labels[r1.position]
-        b = slot_labels[r2.position]
-        b_for_a = [b[e.permutation[k]] for k in range(s.rank)]
-        a_for_b = [0] * s.rank
-        for k in range(s.rank):
-            a_for_b[e.permutation[k]] = a[k]
-        constraints[r1.vertex].append((r1.position, a, r2.vertex, r2.position, b_for_a))
-        constraints[r2.vertex].append((r2.position, b, r1.vertex, r1.position, a_for_b))
+        p, q = r1.position, r2.position
+        tau = [0] * m
+        tau[p] = q
+        for k, j in enumerate(e.permutation):  # slot labels skip the own position
+            tau[k + (k >= p)] = j + (j >= q)
+        t = tau.index(0)
+        sign = 1 if tau[(t + 1) % m] == 1 else -1
+        if any(tau[(t + sign * x) % m] != x for x in range(m)):
+            return no_coloring
+        steps[r1.vertex].append((r2.vertex, t, sign))
+        steps[r2.vertex].append((r1.vertex, -sign * t % m, sign))
 
-    configs = _vertex_configs(s.rank)
-    chosen: dict[str, tuple[int, int]] = {}
-
-    def color_at(config: tuple[int, int], pos: int) -> int:
-        orient, offset = config
-        return (offset + orient * pos) % m
-
-    def consistent(label: str, config: tuple[int, int]) -> bool:
-        for pos, mine, other, opos, theirs in constraints[label]:
-            if other not in chosen:
-                continue
-            oconf = chosen[other]
-            if color_at(config, pos) != color_at(oconf, opos):
-                return False
-            for k in range(s.rank):
-                if color_at(config, mine[k]) != color_at(oconf, theirs[k]):
-                    return False
-        return True
-
-    def search(depth: int) -> bool:
-        if depth == len(order):
-            return True
-        label = order[depth]
-        for config in configs:
-            if consistent(label, config):
-                chosen[label] = config
-                if search(depth + 1):
-                    return True
-                del chosen[label]
-        return False
-
-    if not search(0):
-        return ColorabilityResult(
-            False, None,
-            "no edge coloring reads cyclically consecutive colors at every vertex")
-
-    # bipartition: least label of each component becomes white
-    adjacency: dict[str, list[str]] = {label: [] for label in order}
-    for r1, r2 in endpoints:
-        adjacency[r1.vertex].append(r2.vertex)
-        adjacency[r2.vertex].append(r1.vertex)
+    reading: dict[str, tuple[int, int]] = {}
     parity: dict[str, str] = {}
+    odd_cycle = None
     for root in order:
-        if root in parity:
+        if root in reading:
             continue
-        parity[root] = WHITE
-        queue = [root]
-        while queue:
-            cur = queue.pop()
-            for nxt in adjacency[cur]:
-                want = BLACK if parity[cur] == WHITE else WHITE
-                if nxt not in parity:
-                    parity[nxt] = want
-                    queue.append(nxt)
-                elif parity[nxt] != want:
-                    return ColorabilityResult(
-                        False, None,
-                        f"odd cycle through {cur!r} and {nxt!r}: no "
-                        "white/black bipartition exists")
+        reading[root], parity[root] = (1, 0), WHITE
+        stack = [root]
+        while stack:
+            cur = stack.pop()
+            orient, offset = reading[cur]
+            side = BLACK if parity[cur] == WHITE else WHITE
+            for nxt, t, sign in steps[cur]:
+                forced = (orient * sign, (offset + orient * t) % m)
+                if nxt not in reading:
+                    reading[nxt], parity[nxt] = forced, side
+                    stack.append(nxt)
+                elif reading[nxt] != forced:
+                    return no_coloring
+                elif parity[nxt] != side and odd_cycle is None:
+                    odd_cycle = (f"odd cycle through {cur!r} and {nxt!r}: no "
+                                 "white/black bipartition exists")
+    if odd_cycle is not None:
+        return ColorabilityResult(False, None, odd_cycle)
 
     whites = tuple(label for label in order if parity[label] == WHITE)
     blacks = tuple(label for label in order if parity[label] == BLACK)
@@ -344,7 +339,8 @@ def colorability(s: StrandedGraph) -> ColorabilityResult:
     bidx = {label: i for i, label in enumerate(blacks)}
     rows: list[list[int]] = [[-1] * len(whites) for _ in range(m)]
     for r1, r2 in endpoints:
-        color = color_at(chosen[r1.vertex], r1.position)
+        orient, offset = reading[r1.vertex]
+        color = (offset + orient * r1.position) % m
         w, b = (r1.vertex, r2.vertex) if parity[r1.vertex] == WHITE else (r2.vertex, r1.vertex)
         rows[color][widx[w]] = bidx[b]
     witness = ColoredGraph(s.rank, whites, blacks, tuple(tuple(row) for row in rows))
@@ -363,10 +359,7 @@ def stranded_same_structure(s1: StrandedGraph, s2: StrandedGraph) -> bool:
         out = []
         for e, (r1, r2) in zip(s.edges, _edge_endpoints(s)):
             if r2 < r1:
-                inv = [0] * s.rank
-                for k, mk in enumerate(e.permutation):
-                    inv[mk] = k
-                out.append((r2, r1, tuple(inv)))
+                out.append((r2, r1, tuple(_inverse(e.permutation))))
             else:
                 out.append((r1, r2, e.permutation))
         return sorted(out)

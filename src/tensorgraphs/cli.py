@@ -6,7 +6,7 @@ default; ``--json`` switches to machine output with stable field names
 and a fixed key order, so identical inputs give byte-identical output.
 
 Exit codes: 0 success / property holds; 1 graph invalid or property
-fails; 2 parse or usage error; 3 internal invariant violation.
+fails; 2 parse or usage error; 3 internal fault.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .checks import (
 from .core import (
     ColoredGraph,
     StrandedGraph,
-    components,
+    _connected,
     stranded_components,
     to_stranded,
     validate_colored,
@@ -50,7 +50,7 @@ from .errors import (
 )
 from .formats import export_dot, parse_graph, serialize_graph
 from .sampling import CensusReport, census, random_colored, random_connected
-from .topology import bicolored_faces, genus as ribbon_genus, trace_faces
+from .topology import bicolored_face_count, bicolored_faces, genus as ribbon_genus, trace_faces
 
 USAGE_ERRORS = (ParseError, UnknownFormat, VersionUnsupported, BadParameters,
                 WrongRank, BadCardinal, OSError)
@@ -219,8 +219,8 @@ def _counts_of(g: ColoredGraph | StrandedGraph) -> tuple[int, int, int, bool]:
     if isinstance(g, ColoredGraph):
         v = 2 * g.n
         e = (g.rank + 1) * g.n
-        f = bicolored_faces(g).count
-        connected = len(components(g, set(g.colors))) == 1
+        f = bicolored_face_count(g)
+        connected = _connected(g)
     else:
         v = len(g.vertices)
         e = len(g.edges)
@@ -466,6 +466,10 @@ def run(argv: list[str]) -> CommandResult:
     except TensorGraphError as err:
         # remaining builder errors mean the input graph is invalid
         return CommandResult(1, f"invalid graph: {type(err).__name__}: {err}")
+    except Exception as err:
+        # anything else is a fault of this program, not of its input
+        message = " ".join(str(err).split())
+        return CommandResult(3, f"internal error: {type(err).__name__}: {message}")
 
 
 def main() -> None:

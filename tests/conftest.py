@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tensorgraphs import build_colored, build_stranded
@@ -64,3 +66,55 @@ def tadpole_b():
         [("v", ["h0", "h1", "h2", "h3"])],
         [(("h0", "h2"), None), (("h1", "h3"), None)],
     )
+
+
+def make_tadpoles(count):
+    """``count`` one-vertex tadpoles pairing cyclic neighbours, then ``z``,
+    which pairs opposite corners (no alternating rotation signs it) and
+    sorts last."""
+    members = [(f"a{i:02d}", ((0, 1), (2, 3))) for i in range(count)]
+    members.append(("z", ((0, 2), (1, 3))))
+    return build_stranded(
+        3, [(v, [f"{v}:{p}" for p in range(4)]) for v, _ in members],
+        [((f"{v}:{a}", f"{v}:{b}"), None) for v, pairs in members for a, b in pairs])
+
+
+def make_dipoles(count):
+    """``count`` untwisted dipoles, then dipole ``t`` with a strand twist on
+    one edge, sorted last."""
+    labels = [f"d{i}" for i in range(count)] + ["t"]
+    return build_stranded(
+        3, [(f"{d}{side}", [f"{d}{side}:{c}" for c in range(4)])
+            for d in labels for side in "bw"],
+        [((f"{d}w:{c}", f"{d}b:{c}"), (1, 0, 2) if d == "t" and c == 0 else None)
+         for d in labels for c in range(4)])
+
+
+def dihedral_stranded(rank, labels, edges, seed):
+    """Stranded graph on ``labels`` from (color, u, v) ``edges`` that give
+    every vertex each color once.  Every vertex lists its half-edges
+    through a seeded dihedral map: position p holds color
+    (offset + orientation * p) mod (D+1), and every edge glues the
+    strands of equal color."""
+    rng = random.Random(seed)
+    m = rank + 1
+    colors = {}
+    for label in labels:
+        orientation, offset = rng.choice((1, -1)), rng.randrange(m)
+        colors[label] = [(offset + orientation * p) % m for p in range(m)]
+    position = {label: {c: p for p, c in enumerate(cs)} for label, cs in colors.items()}
+    glued = []
+    for color, u, v in edges:
+        p, q = position[u][color], position[v][color]
+        theirs = [k for k in range(m) if k != q]
+        perm = [theirs.index(position[v][colors[u][k]]) for k in range(m) if k != p]
+        glued.append(((f"{u}:{color}", f"{v}:{color}"), perm))
+    return build_stranded(
+        rank, [(label, [f"{label}:{c}" for c in cs]) for label, cs in colors.items()],
+        glued)
+
+
+def reread(g, seed):
+    """Colored graph ``g`` as a stranded graph read through seeded
+    dihedral maps (see ``dihedral_stranded``)."""
+    return dihedral_stranded(g.rank, [label for label, _parity in g.nodes()], g.edges(), seed)

@@ -1,3 +1,8 @@
+import itertools
+import json
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -5,21 +10,27 @@ from tensorgraphs import (
     ALTERNATING,
     BLOCK,
     HalfEdgeRef,
+    SignAssignment,
     SignPattern,
     StrandedEdge,
+    build_colored,
     build_stranded,
     colorability,
     colored_mo_witness,
     is_untwisted,
     mo_admissibility,
+    parse_graph,
+    serialize_graph,
     stranded_same_structure,
     to_stranded,
     validate_colored,
     verify_sign_assignment,
 )
+from tensorgraphs.cli import run
 from tensorgraphs.errors import TwistedInput, WrongRank
 from tensorgraphs.sampling import random_colored, subseed
 
+from .conftest import dihedral_stranded, make_dipoles, make_tadpoles
 from .test_core import colored_graphs
 
 
@@ -204,3 +215,175 @@ class TestInclusion:
         assert recovered.colorable
         assert validate_colored(recovered.witness).valid
         assert stranded_same_structure(to_stranded(recovered.witness), s)
+
+
+class TestLargeAndAdversarial:
+    """Decisions finish on large graphs and on a failing component sorted
+    after many admissible ones."""
+
+    @pytest.fixture(scope="class")
+    def large(self, tmp_path_factory):
+        s = to_stranded(random_colored(3, 600, 3))
+        path = tmp_path_factory.mktemp("large") / "random-600.json"
+        path.write_bytes(serialize_graph(s))
+        return s, str(path)
+
+    def test_mo_cli_on_1200_vertices(self, large):
+        s, path = large
+        result = run(["check", "mo", path, "--json"])
+        assert result.exit_code == 0
+        report = json.loads(result.report)
+        signs = {s.halfedge_refs[h]: 1 if sign == "+" else -1
+                 for h, sign in report["signs"].items()}
+        assert verify_sign_assignment(
+            s, SignAssignment(signs, ALTERNATING, report["rotations"]))
+
+    def test_colorable_cli_on_1200_vertices(self, large):
+        s, path = large
+        result = run(["check", "colorable", path, "--json"])
+        assert result.exit_code == 0
+        witness = parse_graph(json.dumps(json.loads(result.report)["witness"]))
+        assert stranded_same_structure(to_stranded(witness), s)
+
+    def test_mo_failing_tadpole_sorted_last(self):
+        s = make_tadpoles(20)
+        start = time.perf_counter()
+        result = mo_admissibility(s, ALTERNATING)
+        assert time.perf_counter() - start < 0.5
+        assert not result.admissible
+        assert (result.obstruction.vertex, result.obstruction.conflicts) == (
+            "z", ((0, ("z:0", "z:2"), "both ends signed +"),
+                  (1, ("z:0", "z:2"), "both ends signed -")))
+
+    def test_colorability_twisted_dipole_sorted_last(self):
+        s = make_dipoles(5)
+        start = time.perf_counter()
+        result = colorability(s)
+        assert time.perf_counter() - start < 0.5
+        assert not result.colorable
+
+
+def _small_stranded(rng, rank, twists):
+    """At most four vertices with shuffled labels.  Either half-edges are
+    paired at random (self-loops allowed), or every color is a random
+    perfect matching of the vertices, read through random dihedral maps;
+    with ``twists``, about a third of the edges then get a random strand
+    permutation."""
+    m = rank + 1
+    nv = rng.choice([k for k in range(1, 5) if k * m % 2 == 0])
+    labels = rng.sample(["a", "b1", "b10", "b2", "c", "w1", "x"], nv)
+    if nv % 2 == 0 and rng.random() < 0.5:
+        matched = []
+        for color in range(m):
+            rng.shuffle(labels)
+            matched += [(color, labels[i], labels[i + 1]) for i in range(0, nv, 2)]
+        s = dihedral_stranded(rank, labels, matched, rng.randrange(1 << 30))
+        vertices = [(v.label, v.halfedges) for v in s.vertices]
+        edges = [(e.halfedges, e.permutation) for e in s.edges]
+    else:
+        vertices = [(v, [f"{v}:{p}" for p in range(m)]) for v in labels]
+        halves = [h for _, hs in vertices for h in hs]
+        rng.shuffle(halves)
+        edges = [((halves[i], halves[i + 1]), None) for i in range(0, len(halves), 2)]
+
+    def gluing(perm):
+        if not twists:
+            return None
+        return rng.sample(range(rank), rank) if rng.random() < 0.3 else perm
+
+    edges = [(ends, gluing(perm)) for ends, perm in edges]
+    rng.shuffle(vertices)
+    return build_stranded(rank, vertices, edges)
+
+
+def _ends(s):
+    return [(s.halfedge_refs[a], s.halfedge_refs[b]) for a, b in (e.halfedges for e in s.edges)]
+
+
+def _first_signing(s, pattern):
+    """Least rotation assignment, vertices in label order, by enumeration."""
+    order = sorted(v.label for v in s.vertices)
+    for rots in itertools.product(pattern.distinct_rotations(), repeat=len(order)):
+        rot = dict(zip(order, rots))
+        if all(pattern.rotated(r1.position, rot[r1.vertex])
+               != pattern.rotated(r2.position, rot[r2.vertex]) for r1, r2 in _ends(s)):
+            return rot
+    return None
+
+
+def _first_coloring(s):
+    """The colored graph read off the least (orientation, offset) per
+    vertex in label order, with the least white/black split, by
+    enumeration; None when either does not exist or an edge is a loop."""
+    m = s.rank + 1
+    order = sorted(v.label for v in s.vertices)
+    ends = _ends(s)
+    if any(r1.vertex == r2.vertex for r1, r2 in ends):
+        return None
+    glued = []
+    for e, (r1, r2) in zip(s.edges, ends):
+        mine = [k for k in range(m) if k != r1.position]
+        theirs = [k for k in range(m) if k != r2.position]
+        glued.append((r1.vertex, r2.vertex, [(r1.position, r2.position)] + [
+            (mine[k], theirs[e.permutation[k]]) for k in range(s.rank)]))
+    readings = [(1, off) for off in range(m)] + [(-1, off) for off in range(m)]
+
+    def color(reading, p):
+        return (reading[1] + reading[0] * p) % m
+
+    for choice in itertools.product(readings, repeat=len(order)):
+        read = dict(zip(order, choice))
+        if all(color(read[u], p) == color(read[v], q)
+               for u, v, pairs in glued for p, q in pairs):
+            break
+    else:
+        return None
+    for bits in itertools.product((0, 1), repeat=len(order)):
+        side = dict(zip(order, bits))
+        if all(side[r1.vertex] != side[r2.vertex] for r1, r2 in ends):
+            break
+    else:
+        return None
+    return build_colored(
+        s.rank, [v for v in order if side[v] == 0], [v for v in order if side[v] == 1],
+        [(color(read[r1.vertex], r1.position),
+          *((r1.vertex, r2.vertex) if side[r1.vertex] == 0 else (r2.vertex, r1.vertex)))
+         for r1, r2 in ends])
+
+
+class TestBruteForceOracle:
+    """Witnesses are the first satisfying assignment in lexicographic
+    vertex-label order, and a negative answer means there is none."""
+
+    def test_mo_matches_enumeration(self):
+        rng = random.Random(2012)
+        outcomes = set()
+        for _ in range(300):
+            s = _small_stranded(rng, 3, twists=False)
+            for pattern in (ALTERNATING, BLOCK):
+                expected = _first_signing(s, pattern)
+                result = mo_admissibility(s, pattern)
+                outcomes.add(result.admissible)
+                if expected is None:
+                    assert not result.admissible
+                else:
+                    assert result.admissible
+                    assert result.assignment.rotations == expected
+                    assert verify_sign_assignment(s, result.assignment)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_colorability_matches_enumeration(self, rank):
+        rng = random.Random(5304 + rank)
+        outcomes = set()
+        for _ in range(150):
+            s = _small_stranded(rng, rank, twists=True)
+            expected = _first_coloring(s)
+            result = colorability(s)
+            outcomes.add(result.colorable)
+            if expected is None:
+                assert not result.colorable
+            else:
+                assert result.colorable
+                assert result.witness == expected
+        assert outcomes == {True, False}

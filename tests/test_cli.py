@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tensorgraphs import parse_graph, serialize_graph, to_stranded
+from tensorgraphs import cli, parse_graph, serialize_graph, to_stranded
 from tensorgraphs.cli import run
 
 from .conftest import make_genus_one, make_quad
@@ -241,6 +241,16 @@ class TestExitContract:
         }
         for (command, name), code in expected.items():
             assert run([command, corpus[name]]).exit_code == code, (command, name)
+
+    def test_internal_fault_exits_3(self, corpus, monkeypatch):
+        def fail(*_args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "mo_admissibility", fail)
+        result = run(["check", "mo", corpus["dipole.json"]])
+        assert result.exit_code == 3
+        assert result.report == (
+            "internal error: RecursionError: maximum recursion depth exceeded")
 
 
 def test_stranded_expansion_document_usable(tmp_path, quad):

@@ -12,8 +12,10 @@ import random
 
 import pytest
 
-from tensorgraphs import ColoredGraph, random_colored, serialize_graph
+from tensorgraphs import ColoredGraph, build_stranded, random_colored, serialize_graph
 from tensorgraphs.cli import run
+
+from .conftest import dihedral_stranded, make_dipoles, make_tadpoles, reread
 
 
 def _melonic(n: int, seed: int) -> ColoredGraph:
@@ -25,12 +27,33 @@ def _melonic(n: int, seed: int) -> ColoredGraph:
         (tuple(perm),) * 4)
 
 
+def _pairing(count: int, seed: int):
+    """Rank-3 vertices with shuffled declaration order and half-edges
+    paired at random, self-loops included, untwisted."""
+    rng = random.Random(seed)
+    labels = [f"v{i}" for i in range(count)]
+    rng.shuffle(labels)
+    halves = [f"{v}.{p}" for v in labels for p in range(4)]
+    rng.shuffle(halves)
+    return build_stranded(
+        3, [(v, [f"{v}.{p}" for p in range(4)]) for v in labels],
+        [((halves[i], halves[i + 1]), None) for i in range(0, len(halves), 2)])
+
+
 DOCUMENTS = {
     "rank2": lambda: random_colored(2, 12, 3),
     "rank2-disconnected": lambda: random_colored(2, 7, 0),
     "rank3": lambda: random_colored(3, 12, 5),
     "rank4": lambda: random_colored(4, 11, 8),
     "melonic": lambda: _melonic(12, 4),
+    "adversarial-mo": lambda: make_tadpoles(3),
+    "adversarial-colorable": lambda: make_dipoles(2),
+    "pairing": lambda: _pairing(11, 72),
+    "reread-rank3": lambda: reread(random_colored(3, 4, 6), 6),
+    "reread-rank4": lambda: reread(random_colored(4, 3, 1), 1),
+    "odd-cycle": lambda: dihedral_stranded(2, ["w1", "b1", "w2", "b2"], [
+        (0, "w1", "b1"), (0, "w2", "b2"), (1, "w1", "w2"), (1, "b1", "b2"),
+        (2, "w1", "b2"), (2, "b1", "w2")], 3),
 }
 
 GRAPH_COMMANDS = {
@@ -127,3 +150,53 @@ def test_report_bytes(tmp_path, doc, command):
         flags = [f.format(colors=g.rank + 1) for f in flags]
         argv = [name, str(path), *flags]
     assert _digest(argv) == GOLDEN[(doc, command)]
+
+
+DECISION_COMMANDS = {
+    "check-mo": ["check", "mo", "{file}", "--json"],
+    "check-mo-block": ["check", "mo", "{file}", "--pattern", "block", "--json"],
+    "check-colorable": ["check", "colorable", "{file}", "--json"],
+}
+
+DECISION_GOLDEN = {
+    ("adversarial-colorable", "check-colorable"):
+        "08bff59b40329a8c4daba0b6921cb5833226c88029957cfa03d629e01f45b95d",
+    ("adversarial-mo", "check-mo"):
+        "bec9c3731785eba1e7b74e29774ed0e57ddf09040f6a8536f48a79570e501612",
+    ("melonic", "check-colorable"):
+        "9d0a35ab244e6dece9f35f813978979c0641551e2cc50ba683815aa643bd46cc",
+    ("melonic", "check-mo"):
+        "02e8aeca8a8dc2b978855e87fd484298ba132cee83bfc72754649d0a2eda4bb7",
+    ("melonic", "check-mo-block"):
+        "0ccf3aa2906a557a720db345b5da40e00314e542afe561ad6b0b1e6817713dc3",
+    ("odd-cycle", "check-colorable"):
+        "6b5d4b8bc24d0423649cbfd821a0d6ccd83947b60482056adeb3e4ea8a16e831",
+    ("pairing", "check-colorable"):
+        "27a6bae3e8bf5488ce655f3ac6071a6a9381d8b2015ebcedeeefef160cda56cc",
+    ("pairing", "check-mo"):
+        "d415257c212337d9f971454d720e45402b89fd2b114a1d77d0917f013d37076f",
+    ("pairing", "check-mo-block"):
+        "2da94fb453a88aa0ddc72d7aafb4ff6d65732d19a6e833b47bd5037fe7e2269d",
+    ("rank2", "check-colorable"):
+        "833dc9d28bfeecd9baec8f0036a0b53dbbea2f23deb0c58f62090012935a8cf8",
+    ("rank3", "check-colorable"):
+        "8dcf0801cb7dac166b476fb806102f07f8100f1121f52c422bacbb6b063ae2a3",
+    ("rank3", "check-mo"):
+        "02e8aeca8a8dc2b978855e87fd484298ba132cee83bfc72754649d0a2eda4bb7",
+    ("rank3", "check-mo-block"):
+        "0ccf3aa2906a557a720db345b5da40e00314e542afe561ad6b0b1e6817713dc3",
+    ("rank4", "check-colorable"):
+        "e39a29c1fee501315cfd37affb586a95b6efcf6b9e0ea9a0bd8defa4dbf82694",
+    ("reread-rank3", "check-colorable"):
+        "f2059e39c36f93c5fc95c45be3c5d1430debd1216d6bdaadb944deb9f331b5c3",
+    ("reread-rank4", "check-colorable"):
+        "ce9099c343dfe3f7016f824b4cbdb31cc31ac4153660454460c0372d23b6ca03",
+}
+
+
+@pytest.mark.parametrize("doc, command", sorted(DECISION_GOLDEN), ids=str)
+def test_decision_bytes(tmp_path, doc, command):
+    path = tmp_path / f"{doc}.json"
+    path.write_bytes(serialize_graph(DOCUMENTS[doc]()))
+    argv = [arg.format(file=path) for arg in DECISION_COMMANDS[command]]
+    assert _digest(argv) == DECISION_GOLDEN[(doc, command)]
