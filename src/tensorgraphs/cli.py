@@ -13,26 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .bubbles import bubble_census, enumerate_bubbles
-from .checks import (
-    PATTERNS,
-    SignAssignment,
-    colorability,
-    mo_admissibility,
-)
-from .core import (
-    ColoredGraph,
-    StrandedGraph,
-    _connected,
-    stranded_components,
-    to_stranded,
-    validate_colored,
-)
-from .dual import complex_euler, dual_counts
 from .errors import (
     AttemptsExhausted,
     BadCardinal,
@@ -48,9 +33,12 @@ from .errors import (
     VersionUnsupported,
     WrongRank,
 )
-from .formats import export_dot, parse_graph, serialize_graph
-from .sampling import CensusReport, census, random_colored, random_connected
-from .topology import bicolored_face_count, bicolored_faces, genus as ribbon_genus, trace_faces
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from .checks import SignAssignment
+    from .core import ColoredGraph, StrandedGraph
+    from .sampling import CensusReport
 
 USAGE_ERRORS = (ParseError, UnknownFormat, VersionUnsupported, BadParameters,
                 WrongRank, BadCardinal, OSError)
@@ -69,17 +57,20 @@ def _json_report(payload: dict) -> str:
 
 
 def _load(path: str) -> ColoredGraph | StrandedGraph:
+    from .formats import parse_graph
     with open(path, "rb") as fh:
         return parse_graph(fh.read())
 
 
 def _require_colored(g, what: str) -> ColoredGraph:
+    from .core import ColoredGraph
     if not isinstance(g, ColoredGraph):
         raise BadParameters(f"{what} needs a colored graph document")
     return g
 
 
 def _as_stranded(g) -> StrandedGraph:
+    from .core import ColoredGraph, to_stranded
     return to_stranded(g) if isinstance(g, ColoredGraph) else g
 
 
@@ -94,6 +85,7 @@ def _write_out(data: bytes, out: str | None) -> str:
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_validate(args) -> CommandResult:
+    from .core import ColoredGraph, validate_colored
     try:
         g = _load(args.file)
     except (ParseError, UnknownFormat, VersionUnsupported, OSError) as err:
@@ -123,6 +115,8 @@ def _cmd_validate(args) -> CommandResult:
 
 
 def _cmd_faces(args) -> CommandResult:
+    from .core import ColoredGraph
+    from .topology import bicolored_faces, trace_faces
     g = _load(args.file)
     if isinstance(g, ColoredGraph):
         faces = bicolored_faces(g)
@@ -168,6 +162,7 @@ def _cmd_faces(args) -> CommandResult:
 
 
 def _cmd_bubbles(args) -> CommandResult:
+    from .bubbles import bubble_census, enumerate_bubbles
     g = _require_colored(_load(args.file), "bubbles")
     if args.k == 3:
         result = bubble_census(g)
@@ -216,6 +211,8 @@ def _cmd_bubbles(args) -> CommandResult:
 
 
 def _counts_of(g: ColoredGraph | StrandedGraph) -> tuple[int, int, int, bool]:
+    from .core import ColoredGraph, _connected, stranded_components
+    from .topology import bicolored_face_count, trace_faces
     if isinstance(g, ColoredGraph):
         v = 2 * g.n
         e = (g.rank + 1) * g.n
@@ -230,6 +227,7 @@ def _counts_of(g: ColoredGraph | StrandedGraph) -> tuple[int, int, int, bool]:
 
 
 def _cmd_genus(args) -> CommandResult:
+    from .topology import genus as ribbon_genus
     if args.counts is not None:
         v, e, f = args.counts
         connected = True
@@ -251,6 +249,7 @@ def _cmd_genus(args) -> CommandResult:
 
 
 def _cmd_dual(args) -> CommandResult:
+    from .dual import complex_euler, dual_counts
     g = _require_colored(_load(args.file), "dual")
     counts = dual_counts(g)
     euler = complex_euler(counts)
@@ -269,6 +268,8 @@ def _cmd_dual(args) -> CommandResult:
 
 
 def _cmd_check_colorable(args) -> CommandResult:
+    from .checks import colorability
+    from .formats import serialize_graph
     s = _as_stranded(_load(args.file))
     result = colorability(s)
     if result.colorable:
@@ -296,6 +297,7 @@ def _signs_by_label(s: StrandedGraph, assignment: SignAssignment) -> dict[str, s
 
 
 def _cmd_check_mo(args) -> CommandResult:
+    from .checks import PATTERNS, mo_admissibility
     s = _as_stranded(_load(args.file))
     pattern = PATTERNS[args.pattern]
     result = mo_admissibility(s, pattern)
@@ -332,6 +334,8 @@ def _cmd_check_mo(args) -> CommandResult:
 
 
 def _cmd_random(args) -> CommandResult:
+    from .formats import serialize_graph
+    from .sampling import random_colored, random_connected
     if args.connected:
         g = random_connected(args.rank, args.size, args.seed, args.max_attempts)
     else:
@@ -356,6 +360,7 @@ def _census_payload(report: CensusReport) -> dict:
 
 
 def _cmd_census(args) -> CommandResult:
+    from .sampling import census
     report = census(args.rank, args.size, args.samples, args.seed, args.jobs)
     if args.json:
         return CommandResult(0, _json_report(_census_payload(report)))
@@ -373,6 +378,7 @@ def _cmd_census(args) -> CommandResult:
 
 
 def _cmd_export_dot(args) -> CommandResult:
+    from .formats import export_dot
     g = _load(args.file)
     return CommandResult(0, _write_out(export_dot(g), args.output))
 
@@ -415,7 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_check_colorable)
     p = check_sub.add_parser("mo", help="decide multi-orientability, with witness")
     p.add_argument("file")
-    p.add_argument("--pattern", choices=sorted(PATTERNS), default="alternating")
+    p.add_argument("--pattern", choices=("alternating", "block"),  # sorted(checks.PATTERNS)
+                   default="alternating")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_check_mo)
 
@@ -476,7 +483,16 @@ def main() -> None:
     result = run(sys.argv[1:])
     if result.report:
         stream = sys.stdout if result.exit_code in (0, 1) else sys.stderr
-        print(result.report, file=stream)
+        try:
+            print(result.report, file=stream)
+            stream.flush()
+        except BrokenPipeError:
+            # The reader closed the pipe early (``| head``): the command still
+            # ran, so keep its exit code, and point the stream at devnull so
+            # the flush at interpreter exit cannot fail again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
     sys.exit(result.exit_code)
 
 

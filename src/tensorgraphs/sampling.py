@@ -20,7 +20,7 @@ implementation can reproduce the numbers.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -169,7 +169,8 @@ def census(
 
     Sample j uses sub-seed ``subseed(seed, j)``, so samples are
     independent streams and the report is identical for any degree of
-    parallelism; ``parallelism`` is a throughput hint only.
+    parallelism; ``parallelism`` is a throughput hint only, capped at the
+    CPU count and the sample count, and 1 after the cap runs serially.
     """
     _check_params(rank, n, seed)
     if samples < 1:
@@ -178,8 +179,10 @@ def census(
         raise BadParameters(f"parallelism must be >= 1, got {parallelism}")
 
     jobs = [(rank, n, seed, j) for j in range(samples)]
-    if parallelism > 1:
-        with multiprocessing.Pool(parallelism) as pool:
+    workers = min(parallelism, os.cpu_count() or 1, samples)
+    if workers > 1:
+        import multiprocessing
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_draw_stats, jobs)
     else:
         results = [_draw_stats(job) for job in jobs]

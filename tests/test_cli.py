@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 
 import pytest
 
@@ -246,11 +248,43 @@ class TestExitContract:
         def fail(*_args):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr(cli, "mo_admissibility", fail)
+        monkeypatch.setattr("tensorgraphs.checks.mo_admissibility", fail)
         result = run(["check", "mo", corpus["dipole.json"]])
         assert result.exit_code == 3
         assert result.report == (
             "internal error: RecursionError: maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["faces", "dipole.json", "--json"], 0),
+        (["check", "mo", "tadpoleB.json"], 1),
+    ], ids=["faces-exit-0", "check-mo-exit-1"])
+    def test_closed_stdout_keeps_exit_code(self, corpus, tmp_path, monkeypatch, capsys,
+                                           argv, code):
+        """A reader that closes the pipe early (``| head``) gets no traceback,
+        and the command's own exit code survives."""
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        class ClosedPipe:
+            def write(self, _text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        argv = [corpus.get(arg, arg) for arg in argv]
+        monkeypatch.setattr(sys, "argv", ["tensorgraphs", *argv])
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(SystemExit) as exit_:
+            cli.main()
+        try:
+            assert exit_.value.code == code == run(argv).exit_code
+            assert capsys.readouterr().err == ""
+            assert os.fstat(fd).st_rdev == os.stat(os.devnull).st_rdev  # later flushes are dropped
+        finally:
+            os.close(fd)
 
 
 def test_stranded_expansion_document_usable(tmp_path, quad):

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from fractions import Fraction
 
 import pytest
@@ -126,6 +128,35 @@ class TestCensus:
             census(3, 1, 0, 5)
         with pytest.raises(BadParameters):
             census(3, 1, 10, 5, parallelism=0)
+
+    @pytest.mark.parametrize("cpus, samples, workers", [
+        (4, 60, [4]),      # capped at the CPU count
+        (4, 3, [3]),       # capped at the sample count
+        (1, 60, []),       # one worker runs serially, no pool
+        (None, 60, []),    # unknown CPU count counts as one
+    ], ids=["cpus", "samples", "one-cpu", "unknown-cpus"])
+    def test_pool_size_is_capped(self, monkeypatch, cpus, samples, workers):
+        """No process starts: the pool is a recorder that maps in this one."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *_exc):
+                return False
+
+            def map(self, fn, jobs):
+                return list(map(fn, jobs))
+
+        expected = census(3, 2, samples, 9)
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert census(3, 2, samples, 9, parallelism=10**6) == expected
+        assert sizes == workers
 
     def test_histogram_totals(self):
         report = census(3, 3, 50, 9)
