@@ -114,13 +114,6 @@ def is_untwisted(s: StrandedGraph) -> tuple[bool, tuple[int, ...]]:
     return (not offenders, offenders)
 
 
-def _edge_endpoints(s: StrandedGraph) -> list[tuple[HalfEdgeRef, HalfEdgeRef]]:
-    return [
-        (s.halfedge_refs[e.halfedges[0]], s.halfedge_refs[e.halfedges[1]])
-        for e in s.edges
-    ]
-
-
 def mo_admissibility(s: StrandedGraph, pattern: SignPattern = ALTERNATING) -> MoResult:
     """Decide whether corner signs can make ``s`` multi-orientable.
 
@@ -148,10 +141,8 @@ def mo_admissibility(s: StrandedGraph, pattern: SignPattern = ALTERNATING) -> Mo
     # cyclic neighbours for the alternating pattern, opposite corners for block
     opposite = [(p, q) for p, q in itertools.combinations(range(d), 2)
                 if all(pattern.rotated(p, r) != pattern.rotated(q, r) for r in range(d))]
-    order = sorted(v.label for v in s.vertices)
-    index = {label: i for i, label in enumerate(order)}
-    corner = {h: d * index[r.vertex] + r.position for h, r in s.halfedge_refs.items()}
-    corners = d * len(order)
+    order = s._index.order
+    corners = d * len(order)  # corner x is half-edge id x
 
     def flipping(pairs: list[tuple[int, int]]) -> list[int]:
         perm = list(range(2 * corners))
@@ -161,7 +152,7 @@ def mo_admissibility(s: StrandedGraph, pattern: SignPattern = ALTERNATING) -> Mo
         return perm
 
     orbit = _orbits(
-        [flipping([(corner[h1], corner[h2]) for h1, h2 in (e.halfedges for e in s.edges)])]
+        [flipping(s._index.ends)]
         + [flipping([(x + p, x + q) for x in range(0, corners, d)]) for p, q in opposite],
         2 * corners)
 
@@ -178,29 +169,32 @@ def mo_admissibility(s: StrandedGraph, pattern: SignPattern = ALTERNATING) -> Mo
                 held |= fixing
                 break
         else:
-            return MoResult(False, None, _mo_obstruction(s, pattern, label))
+            return MoResult(False, None, _mo_obstruction(s, pattern, i))
 
     signs = {HalfEdgeRef(label, pos): pattern.rotated(pos, rotations[label])
              for label in order for pos in range(d)}
     return MoResult(True, SignAssignment(signs, pattern, rotations), None)
 
 
-def _mo_obstruction(s: StrandedGraph, pattern: SignPattern, vertex: str) -> MoObstruction:
-    """Greedy signing of the component of ``vertex``, once per rotation of
-    it; the component has no signing, so each rotation meets one conflict."""
-    component = next(c for c in stranded_components(s) if vertex in c)
-    # per vertex, the edges it touches: (position, other vertex, other position, ends)
-    touching: dict[str, list] = {label: [] for label in component}
-    for e, (r1, r2) in zip(s.edges, _edge_endpoints(s)):
-        if r1.vertex in touching:
-            touching[r1.vertex].append((r1.position, r2.vertex, r2.position, e.halfedges))
-            touching[r2.vertex].append((r2.position, r1.vertex, r1.position, e.halfedges))
+def _mo_obstruction(s: StrandedGraph, pattern: SignPattern, vertex: int) -> MoObstruction:
+    """Greedy signing of the component of vertex number ``vertex``, once per rotation
+    of it; the component has no signing, so each rotation meets one conflict."""
+    d = s.rank + 1
+    order = s._index.order
+    component = set(next(c for c in stranded_components(s) if order[vertex] in c))
+    # per vertex number, the edges it touches: (position, other vertex, other position, ends)
+    touching: dict[int, list] = {i: [] for i, label in enumerate(order) if label in component}
+    for e, (h1, h2) in zip(s.edges, s._index.ends):
+        u, p, v, q = h1 // d, h1 % d, h2 // d, h2 % d
+        if u in touching:
+            touching[u].append((p, v, q, e.halfedges))
+            touching[v].append((q, u, p, e.halfedges))
     candidates = pattern.distinct_rotations()
-    rest = [(label, candidates) for label in sorted(component) if label != vertex]
+    rest = [(i, candidates) for i in touching if i != vertex]
 
-    def conflict_at(label: str, rot: int, rotations: dict[str, int]):
-        for pos, other, opos, ends in touching[label]:
-            if other == label:
+    def conflict_at(u: int, rot: int, rotations: dict[int, int]):
+        for pos, other, opos, ends in touching[u]:
+            if other == u:
                 other_rot = rot
             elif other in rotations:
                 other_rot = rotations[other]
@@ -214,30 +208,27 @@ def _mo_obstruction(s: StrandedGraph, pattern: SignPattern, vertex: str) -> MoOb
 
     conflicts = []
     for rot in candidates:
-        rotations: dict[str, int] = {}
-        for label, tries in [(vertex, (rot,))] + rest:
-            fit = next((r for r in tries if conflict_at(label, r, rotations) is None), None)
+        rotations: dict[int, int] = {}
+        for u, tries in [(vertex, (rot,))] + rest:
+            fit = next((r for r in tries if conflict_at(u, r, rotations) is None), None)
             if fit is None:
-                conflicts.append((rot, *conflict_at(label, tries[0], rotations)))
+                conflicts.append((rot, *conflict_at(u, tries[0], rotations)))
                 break
-            rotations[label] = fit
-    return MoObstruction(vertex, tuple(conflicts))
+            rotations[u] = fit
+    return MoObstruction(order[vertex], tuple(conflicts))
 
 
 def verify_sign_assignment(s: StrandedGraph, assignment: SignAssignment) -> bool:
     """Re-check a sign assignment against its own invariants."""
-    for v in s.vertices:
-        rot = assignment.rotations.get(v.label)
-        if rot is None:
+    d = s.rank + 1
+    index = s._index
+    signs = [assignment.signs.get(HalfEdgeRef(label, pos))
+             for label in index.order for pos in range(d)]
+    for h, sign in enumerate(signs):
+        rot = assignment.rotations.get(index.order[h // d])
+        if rot is None or sign != assignment.pattern.rotated(h % d, rot):
             return False
-        for pos in range(s.rank + 1):
-            ref = HalfEdgeRef(v.label, pos)
-            if assignment.signs.get(ref) != assignment.pattern.rotated(pos, rot):
-                return False
-    for r1, r2 in _edge_endpoints(s):
-        if assignment.signs[r1] + assignment.signs[r2] != 0:
-            return False
-    return True
+    return all(signs[h1] + signs[h2] == 0 for h1, h2 in index.ends)
 
 
 def colored_mo_witness(g: ColoredGraph) -> SignAssignment:
@@ -280,23 +271,22 @@ def colorability(s: StrandedGraph) -> ColorabilityResult:
     same (vertex, position) edge structure as the input.
     """
     m = s.rank + 1
-    order = sorted(v.label for v in s.vertices)
+    order, ends = s._index.order, s._index.ends
 
     # self-loops can never join a positive to a negative vertex
-    endpoints = _edge_endpoints(s)
-    for r1, r2 in endpoints:
-        if r1.vertex == r2.vertex:
+    for h1, h2 in ends:
+        if h1 // m == h2 // m:
             return ColorabilityResult(
                 False, None,
-                f"edge joins two half-edges of vertex {r1.vertex!r}; "
+                f"edge joins two half-edges of vertex {order[h1 // m]!r}; "
                 "an edge must join a white to a black vertex")
     no_coloring = ColorabilityResult(
         False, None, "no edge coloring reads cyclically consecutive colors at every vertex")
 
     # per vertex: (neighbour, t, s), the neighbour reading at x the color read here at t + s*x
-    steps: dict[str, list[tuple[str, int, int]]] = {label: [] for label in order}
-    for e, (r1, r2) in zip(s.edges, endpoints):
-        p, q = r1.position, r2.position
+    steps: list[list[tuple[int, int, int]]] = [[] for _ in order]
+    for e, (h1, h2) in zip(s.edges, ends):
+        u, p, v, q = h1 // m, h1 % m, h2 // m, h2 % m
         tau = [0] * m
         tau[p] = q
         for k, j in enumerate(e.permutation):  # slot labels skip the own position
@@ -305,16 +295,16 @@ def colorability(s: StrandedGraph) -> ColorabilityResult:
         sign = 1 if tau[(t + 1) % m] == 1 else -1
         if any(tau[(t + sign * x) % m] != x for x in range(m)):
             return no_coloring
-        steps[r1.vertex].append((r2.vertex, t, sign))
-        steps[r2.vertex].append((r1.vertex, -sign * t % m, sign))
+        steps[u].append((v, t, sign))
+        steps[v].append((u, -sign * t % m, sign))
 
-    reading: dict[str, tuple[int, int]] = {}
-    parity: dict[str, str] = {}
+    reading: list[tuple[int, int] | None] = [None] * len(order)
+    parity: list[str] = [WHITE] * len(order)
     odd_cycle = None
-    for root in order:
-        if root in reading:
+    for root in range(len(order)):
+        if reading[root] is not None:
             continue
-        reading[root], parity[root] = (1, 0), WHITE
+        reading[root] = (1, 0)
         stack = [root]
         while stack:
             cur = stack.pop()
@@ -322,28 +312,28 @@ def colorability(s: StrandedGraph) -> ColorabilityResult:
             side = BLACK if parity[cur] == WHITE else WHITE
             for nxt, t, sign in steps[cur]:
                 forced = (orient * sign, (offset + orient * t) % m)
-                if nxt not in reading:
+                if reading[nxt] is None:
                     reading[nxt], parity[nxt] = forced, side
                     stack.append(nxt)
                 elif reading[nxt] != forced:
                     return no_coloring
                 elif parity[nxt] != side and odd_cycle is None:
-                    odd_cycle = (f"odd cycle through {cur!r} and {nxt!r}: no "
+                    odd_cycle = (f"odd cycle through {order[cur]!r} and {order[nxt]!r}: no "
                                  "white/black bipartition exists")
     if odd_cycle is not None:
         return ColorabilityResult(False, None, odd_cycle)
 
-    whites = tuple(label for label in order if parity[label] == WHITE)
-    blacks = tuple(label for label in order if parity[label] == BLACK)
-    widx = {label: i for i, label in enumerate(whites)}
-    bidx = {label: i for i, label in enumerate(blacks)}
+    whites = [i for i, side in enumerate(parity) if side == WHITE]
+    blacks = [i for i, side in enumerate(parity) if side == BLACK]
+    place = {i: j for members in (whites, blacks) for j, i in enumerate(members)}
     rows: list[list[int]] = [[-1] * len(whites) for _ in range(m)]
-    for r1, r2 in endpoints:
-        orient, offset = reading[r1.vertex]
-        color = (offset + orient * r1.position) % m
-        w, b = (r1.vertex, r2.vertex) if parity[r1.vertex] == WHITE else (r2.vertex, r1.vertex)
-        rows[color][widx[w]] = bidx[b]
-    witness = ColoredGraph(s.rank, whites, blacks, tuple(tuple(row) for row in rows))
+    for h1, h2 in ends:
+        u, p, v = h1 // m, h1 % m, h2 // m
+        orient, offset = reading[u]
+        w, b = (u, v) if parity[u] == WHITE else (v, u)
+        rows[(offset + orient * p) % m][place[w]] = place[b]
+    witness = ColoredGraph(s.rank, tuple(order[i] for i in whites),
+                           tuple(order[i] for i in blacks), tuple(tuple(row) for row in rows))
     return ColorabilityResult(True, witness, None)
 
 
@@ -355,13 +345,14 @@ def stranded_same_structure(s1: StrandedGraph, s2: StrandedGraph) -> bool:
     if {v.label for v in s1.vertices} != {v.label for v in s2.vertices}:
         return False
 
+    # equal vertex label sets give equal half-edge ids for equal (vertex, position)
     def normalized(s: StrandedGraph) -> list:
         out = []
-        for e, (r1, r2) in zip(s.edges, _edge_endpoints(s)):
-            if r2 < r1:
-                out.append((r2, r1, tuple(_inverse(e.permutation))))
+        for e, (h1, h2) in zip(s.edges, s._index.ends):
+            if h2 < h1:
+                out.append((h2, h1, tuple(_inverse(e.permutation))))
             else:
-                out.append((r1, r2, e.permutation))
+                out.append((h1, h2, e.permutation))
         return sorted(out)
 
     return normalized(s1) == normalized(s2)

@@ -15,6 +15,12 @@ Every edge records how the slots of its two ends are glued, as a
 permutation written against both ends' ascending slot labels; the
 identity permutation means the strands run parallel (no twist).
 
+Every stranded computation reads one integer index, ``_index``: vertex
+i is the i-th label in ascending order, half-edge h = i*(D+1) + position
+and slot h*D + k its k-th slot label, so slot ids ascend in (vertex
+label, position, slot) order.  Faces are the orbits of vertex pairing
+after edge gluing on slot ids; components are orbits on half-edge ids.
+
 Every count on the colored side is an orbit count of the matchings,
 taken by one kernel, ``_orbits``: the {a, b}-faces are the cycles of
 sigma_b^-1 sigma_a on whites, the bubbles of a color set S are the
@@ -149,6 +155,13 @@ class StrandedEdge:
     permutation: tuple[int, ...]
 
 
+class _StrandIndex(NamedTuple):
+    order: tuple[str, ...]  # vertex labels ascending; vertex i is order[i]
+    ends: list[tuple[int, int]]  # each edge's half-edge ids, in edge order
+    other: list[int]  # half-edge involution of the edges
+    glue: list[int]  # slot involution of the strand permutations
+
+
 @dataclass(frozen=True)
 class StrandedGraph:
     """Closed stranded graph: vertices with cyclic half-edges, glued edges."""
@@ -166,11 +179,20 @@ class StrandedGraph:
         return refs
 
     @cached_property
-    def vertex_by_label(self) -> dict[str, StrandedVertex]:
-        return {v.label: v for v in self.vertices}
-
-    def halfedge_label(self, ref: HalfEdgeRef) -> str:
-        return self.vertex_by_label[ref.vertex].halfedges[ref.position]
+    def _index(self) -> _StrandIndex:
+        rank, d = self.rank, self.rank + 1
+        order = tuple(sorted(v.label for v in self.vertices))
+        first = {label: i * d for i, label in enumerate(order)}
+        half = {h: first[v.label] + pos for v in self.vertices for pos, h in enumerate(v.halfedges)}
+        ends = [(half[h1], half[h2]) for h1, h2 in (e.halfedges for e in self.edges)]
+        other = list(range(d * len(order)))
+        glue = list(range(rank * len(other)))
+        for (h1, h2), e in zip(ends, self.edges):
+            other[h1], other[h2] = h2, h1
+            for k, j in enumerate(e.permutation):
+                x, y = h1 * rank + k, h2 * rank + j
+                glue[x], glue[y] = y, x
+        return _StrandIndex(order, ends, other, glue)
 
     def slots(self) -> Iterator[StrandSlot]:
         """Every strand slot of the graph, (D+1)*D per vertex."""
@@ -478,16 +500,14 @@ def build_stranded(
 
 def stranded_components(s: StrandedGraph) -> list[tuple[str, ...]]:
     """Vertex sets of the connected components of a stranded graph: the
-    orbits on half-edges i * (D+1) + position of the edge involution and
-    the within-vertex rotation."""
+    orbits on half-edge ids of the edge involution and the within-vertex
+    rotation.  Components come by first declared vertex, each listing its
+    vertices in declaration order."""
     d = s.rank + 1
-    index = {v.label: i for i, v in enumerate(s.vertices)}
-    half = {h: index[r.vertex] * d + r.position for h, r in s.halfedge_refs.items()}
-    other = list(range(len(half)))
-    for h1, h2 in (e.halfedges for e in s.edges):
-        other[half[h1]], other[half[h2]] = half[h2], half[h1]
-    turn = [h - h % d + (h + 1) % d for h in range(len(half))]
-    return [
-        tuple(s.vertices[h // d].label for h in group[::d])
-        for group in _groups(_orbits([other, turn], len(half)))
-    ]
+    index = s._index
+    turn = [h - h % d + (h + 1) % d for h in range(len(index.other))]
+    root = dict(zip(index.order, _orbits([index.other, turn], len(turn))[::d]))
+    groups: dict[int, list[str]] = {}
+    for v in s.vertices:
+        groups.setdefault(root[v.label], []).append(v.label)
+    return [tuple(group) for group in groups.values()]

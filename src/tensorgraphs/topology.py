@@ -1,9 +1,9 @@
 """Faces, Euler characteristic, genus, and planarity of ribbon structures.
 
-Faces of a stranded graph are the closed strand circuits: orbits of the
-strand slots under alternating the within-edge gluing and the
-within-vertex pairing.  For colored graphs the same circuits appear as
-the connected components of two-color subgraphs, which are even
+Faces of a stranded graph are the closed strand circuits: orbits of
+vertex pairing after edge gluing, walked on slot ids numbered in vertex
+label order (see ``core``).  For colored graphs the same circuits appear
+as the connected components of two-color subgraphs, which are even
 alternating cycles: the {a, b}-faces are the orbits of sigma_b^-1
 sigma_a on whites, counted by the orbit kernel in ``core``.  Both routes
 are implemented and must agree.
@@ -45,22 +45,6 @@ class RibbonCounts:
     genus: int | None
 
 
-def _edge_transition(s: StrandedGraph) -> dict[StrandSlot, StrandSlot]:
-    """The within-edge involution on strand slots."""
-    pair: dict[StrandSlot, StrandSlot] = {}
-    for edge in s.edges:
-        r1 = s.halfedge_refs[edge.halfedges[0]]
-        r2 = s.halfedge_refs[edge.halfedges[1]]
-        labels1 = [k for k in range(s.rank + 1) if k != r1.position]
-        labels2 = [k for k in range(s.rank + 1) if k != r2.position]
-        for k, m in enumerate(edge.permutation):
-            s1 = StrandSlot(r1.vertex, r1.position, labels1[k])
-            s2 = StrandSlot(r2.vertex, r2.position, labels2[m])
-            pair[s1] = s2
-            pair[s2] = s1
-    return pair
-
-
 def trace_faces(s: StrandedGraph) -> FaceSet:
     """Faces of a closed stranded graph by strand tracing.
 
@@ -68,23 +52,27 @@ def trace_faces(s: StrandedGraph) -> FaceSet:
     first, so output is deterministic.  Every slot lies in exactly one
     face.
     """
-    edge_pair = _edge_transition(s)
-    seen: set[StrandSlot] = set()
+    rank, d = s.rank, s.rank + 1
+    order, glue = s._index.order, s._index.glue
+    slots = [StrandSlot(v, p, q) for v in order for p in range(d) for q in range(d) if q != p]
+    # within a vertex, slot q of position p pairs with slot p of position q
+    block = rank * d
+    pairing = [q * rank + p - (p > q) for p in range(d) for q in range(d) if q != p]
+    seen = bytearray(len(glue))
     faces: list[tuple[StrandSlot, ...]] = []
-    for start in sorted(s.slots()):
-        if start in seen:
+    for start in range(len(glue)):
+        if seen[start]:
             continue
-        cycle: list[StrandSlot] = []
+        cycle: list[int] = []
         cur = start
         while True:
-            cycle.append(cur)
-            hop = edge_pair[cur]
-            cycle.append(hop)
-            cur = StrandSlot(hop.vertex, hop.slot, hop.position)
+            hop = glue[cur]
+            cycle += (cur, hop)
+            seen[cur] = seen[hop] = 1
+            cur = hop - hop % block + pairing[hop % block]
             if cur == start:
                 break
-        seen.update(cycle)
-        faces.append(tuple(cycle))
+        faces.append(tuple(map(slots.__getitem__, cycle)))
     return FaceSet(tuple(faces), len(faces))
 
 

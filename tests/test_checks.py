@@ -364,6 +364,8 @@ class TestBruteForceOracle:
                 expected = _first_signing(s, pattern)
                 result = mo_admissibility(s, pattern)
                 outcomes.add(result.admissible)
+                if pattern is BLOCK:  # every corner-graph cycle is even
+                    assert result.admissible
                 if expected is None:
                     assert not result.admissible
                 else:

@@ -40,6 +40,36 @@ def _pairing(count: int, seed: int):
         [((halves[i], halves[i + 1]), None) for i in range(0, len(halves), 2)])
 
 
+ESCAPED = ['q"1', "b\\2", "é3", "w10", "w9", 'Ω"\\', "a", 'z"']
+
+
+def _escaped_expansion(seed: int):
+    """Untwisted rank-3 expansion of a colored graph whose labels need
+    JSON escaping, vertices declared in shuffled order."""
+    rng = random.Random(seed)
+    g = random_colored(3, 4, seed)
+    names = dict(zip((label for label, _parity in g.nodes()), ESCAPED))
+    vertices = [(names[v], [f"{names[v]}:{c}" for c in g.colors]) for v, _parity in g.nodes()]
+    rng.shuffle(vertices)
+    return build_stranded(3, vertices, [
+        ((f"{names[e.white]}:{e.color}", f"{names[e.black]}:{e.color}"), None)
+        for e in g.edges()])
+
+
+def _escaped_twisted(seed: int):
+    """Rank 4 on six labels that need JSON escaping, declared in shuffled
+    order, half-edges paired at random, each edge glued by a random strand
+    permutation."""
+    rng = random.Random(seed)
+    labels = rng.sample(ESCAPED, 6)
+    halves = [f"{v}.{p}" for v in labels for p in range(5)]
+    rng.shuffle(halves)
+    return build_stranded(
+        4, [(v, [f"{v}.{p}" for p in range(5)]) for v in labels],
+        [((halves[i], halves[i + 1]), rng.sample(range(4), 4))
+         for i in range(0, len(halves), 2)])
+
+
 DOCUMENTS = {
     "rank2": lambda: random_colored(2, 12, 3),
     "rank2-disconnected": lambda: random_colored(2, 7, 0),
@@ -54,6 +84,8 @@ DOCUMENTS = {
     "odd-cycle": lambda: dihedral_stranded(2, ["w1", "b1", "w2", "b2"], [
         (0, "w1", "b1"), (0, "w2", "b2"), (1, "w1", "w2"), (1, "b1", "b2"),
         (2, "w1", "b2"), (2, "b1", "w2")], 3),
+    "escaped-rank3": lambda: _escaped_expansion(17),
+    "escaped-rank4-twisted": lambda: _escaped_twisted(23),
 }
 
 GRAPH_COMMANDS = {
@@ -200,3 +232,75 @@ def test_decision_bytes(tmp_path, doc, command):
     path.write_bytes(serialize_graph(DOCUMENTS[doc]()))
     argv = [arg.format(file=path) for arg in DECISION_COMMANDS[command]]
     assert _digest(argv) == DECISION_GOLDEN[(doc, command)]
+
+
+STRANDED_COMMANDS = {
+    "faces": ["faces", "{file}", "--json"],
+    "faces-text": ["faces", "{file}"],
+    "genus": ["genus", "{file}", "--json"],
+    "validate": ["validate", "{file}", "--json"],
+    "export-dot": ["export-dot", "{file}"],
+    "check-mo": DECISION_COMMANDS["check-mo"],
+    "check-colorable": DECISION_COMMANDS["check-colorable"],
+}
+
+STRANDED_GOLDEN = {
+    ("adversarial-colorable", "faces"):
+        "c232451b8739cd4f03cf196d4008cfa3967f7c5fbbb71bf5a0a655233dccdd9c",
+    ("adversarial-colorable", "faces-text"):
+        "49c26fe8127b7398a1e32c452252ed4806d4b8e7c0d57afc83cdf1966902e0e5",
+    ("adversarial-mo", "faces"):
+        "6be542dc113926c8788d1e582030d12b1bd3fd9a670716552e5e15621450acb1",
+    ("adversarial-mo", "faces-text"):
+        "3d039e9b4cd06889133f9a34ca5ff1398a782f7904334317ff16abffa57e00c0",
+    ("escaped-rank3", "check-colorable"):
+        "7ea159fba641e644b26945af2b27d6a688b1a33726944400d93fde6d19ca3734",
+    ("escaped-rank3", "check-mo"):
+        "c7caffb073ff834c6f3381dd039828bb8e72b13ffd7c3c2b424d50c344ad5cb1",
+    ("escaped-rank3", "export-dot"):
+        "616782861670f1a8c084392a59177e789d646237ebbe67c903ae1a7bc4096eba",
+    ("escaped-rank3", "faces"):
+        "30790557427c5e3b18e6d48b86b50d7fe366bc98bff19528244c766158faa319",
+    ("escaped-rank3", "faces-text"):
+        "b0d00cd3b5eff4e14330c8747b7c3adad022761193524e69856f13f58c3ba3e4",
+    ("escaped-rank3", "validate"):
+        "e8b71552785891f6dd86dd9e9a847718e8913371fae09834b2274ce88032da33",
+    ("escaped-rank4-twisted", "check-colorable"):
+        "cc74aea7c6b76d44a4923ae0f7b052b066de090d44bcaad2deca7d782621aa93",
+    ("escaped-rank4-twisted", "check-mo"):
+        "cbe9248a11fa9b6622007ed3e72bbc19f6f37bdd57fd1947664d1730dc5f9e52",
+    ("escaped-rank4-twisted", "export-dot"):
+        "790cb7f2762d7f8bdc1688ff6001e252e7fc7263c80fe97b72384e7b16092809",
+    ("escaped-rank4-twisted", "faces"):
+        "bc04f66730a33d66743246afc230115d6972b9bcb9ff235f6d46222a424362cc",
+    ("escaped-rank4-twisted", "faces-text"):
+        "53f99554e46962f5e37edd06961fe6d787fd5fa578de713ad5f7b347225a0f7a",
+    ("escaped-rank4-twisted", "validate"):
+        "e8b71552785891f6dd86dd9e9a847718e8913371fae09834b2274ce88032da33",
+    ("odd-cycle", "faces"):
+        "4ca593c48f0ace80bbc9419c1a45afe6709cc4c9581694cfae8a9bf3ba3ed291",
+    ("odd-cycle", "faces-text"):
+        "c119f011bf9efc8318946d2d2628d2e94a342c907ec1df2c5885537b0406c5a2",
+    ("odd-cycle", "genus"):
+        "764813ceb52e50baf8901c241e57013b4925b3eb4abe588da1790e9f3e6ae145",
+    ("pairing", "faces"):
+        "538dff999da69e44ccaca129b9f14550dfb9ad362269e7bba08a205996e64743",
+    ("pairing", "faces-text"):
+        "3c4f97665855714a47e4132d46a8e7d684de02376ddbbc444c044db22698a8cc",
+    ("reread-rank3", "faces"):
+        "591c78637b52bef4a1ae30750b9412b63001b2b7854186ae0465b5556d9e18af",
+    ("reread-rank3", "faces-text"):
+        "d9880373e797abe35f63afb184676642fcc3dc739b655a7680bcdec0cbb592a8",
+    ("reread-rank4", "faces"):
+        "6a108f093710c1490bddf31b438198cda89dfb2eded7c0068f397a606fb960c0",
+    ("reread-rank4", "faces-text"):
+        "75bd0acd146c473971ebe4092b95578b87085f53b7ebfc3fe9918896707afa43",
+}
+
+
+@pytest.mark.parametrize("doc, command", sorted(STRANDED_GOLDEN), ids=str)
+def test_stranded_bytes(tmp_path, doc, command):
+    path = tmp_path / f"{doc}.json"
+    path.write_bytes(serialize_graph(DOCUMENTS[doc]()))
+    argv = [arg.format(file=path) for arg in STRANDED_COMMANDS[command]]
+    assert _digest(argv) == STRANDED_GOLDEN[(doc, command)]

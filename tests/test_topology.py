@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,21 +13,20 @@ from tensorgraphs import (
     is_planar,
     pair_cycle_count,
     ribbon_counts,
+    stranded_components,
     to_stranded,
     trace_faces,
 )
 from tensorgraphs.errors import BadParameters, Disconnected, NegativeGenus, OddEuler
 from tensorgraphs.sampling import random_colored, subseed
 
+from .test_checks import _small_stranded
 from .test_core import colored_graphs
 
 
-def orbit_faces_oracle(s):
-    """Independent face count: orbit closure over the slot set.
-
-    Builds both involutions as plain dictionaries and saturates orbits
-    with a worklist, never following the production traversal order.
-    """
+def slot_involutions(s):
+    """The within-vertex pairing and the within-edge gluing of strand
+    slots, as plain dictionaries on (vertex, position, slot) tuples."""
     vertex_pair = {}
     for v in s.vertices:
         for i in range(s.rank + 1):
@@ -44,19 +44,52 @@ def orbit_faces_oracle(s):
             s2 = (r2.vertex, r2.position, b[e.permutation[k]])
             edge_pair[s1] = s2
             edge_pair[s2] = s1
+    return vertex_pair, edge_pair
+
+
+def orbit_faces_oracle(s):
+    """Independent faces: orbit closure over the slot set, as slot sets.
+
+    Saturates orbits of both involutions with a worklist, never following
+    the production traversal order.
+    """
+    vertex_pair, edge_pair = slot_involutions(s)
     remaining = set(vertex_pair)
-    orbits = 0
+    orbits = []
     while remaining:
         seed = remaining.pop()
-        frontier = {seed}
+        orbit, frontier = {seed}, {seed}
         while frontier:
             slot = frontier.pop()
             for image in (vertex_pair[slot], edge_pair[slot]):
                 if image in remaining:
                     remaining.remove(image)
+                    orbit.add(image)
                     frontier.add(image)
-        orbits += 1
+        orbits.append(frozenset(orbit))
     return orbits
+
+
+def bfs_components_oracle(s):
+    """Vertex sets of connected components by breadth-first search over
+    ``halfedge_refs``: by first declared vertex, each in declaration order."""
+    neighbours = {v.label: set() for v in s.vertices}
+    for h1, h2 in (e.halfedges for e in s.edges):
+        u, v = s.halfedge_refs[h1].vertex, s.halfedge_refs[h2].vertex
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    seen, components = set(), []
+    for v in s.vertices:
+        if v.label in seen:
+            continue
+        reached, queue = {v.label}, [v.label]
+        for u in queue:
+            for w in neighbours[u] - reached:
+                reached.add(w)
+                queue.append(w)
+        seen |= reached
+        components.append(tuple(w.label for w in s.vertices if w.label in reached))
+    return components
 
 
 def composition_cycle_oracle(g, a, b):
@@ -121,11 +154,11 @@ class TestTraceFaces:
 
     def test_tadpole_a_matches_oracle(self, tadpole_a):
         faces = trace_faces(tadpole_a)
-        assert faces.count == orbit_faces_oracle(tadpole_a) == 3
+        assert faces.count == len(orbit_faces_oracle(tadpole_a)) == 3
 
     def test_tadpole_b_matches_oracle(self, tadpole_b):
         faces = trace_faces(tadpole_b)
-        assert faces.count == orbit_faces_oracle(tadpole_b) == 1
+        assert faces.count == len(orbit_faces_oracle(tadpole_b)) == 1
 
     def test_quad(self, quad):
         assert trace_faces(to_stranded(quad)).count == 8
@@ -145,6 +178,34 @@ class TestTraceFaces:
         assert starts == sorted(starts)
         for cycle in faces.faces:
             assert cycle[0] == min(cycle)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_faces_match_orbit_oracle(self, rank):
+        rng = random.Random(1011 + rank)
+        for _ in range(150):
+            s = _small_stranded(rng, rank, twists=True)
+            faces, orbits = trace_faces(s), orbit_faces_oracle(s)
+            assert faces.count == len(faces.faces) == len(orbits)
+            assert {frozenset(cycle) for cycle in faces.faces} == set(orbits)
+            vertex_pair, edge_pair = slot_involutions(s)
+            for cycle in faces.faces:
+                assert cycle[0] == min(cycle)
+                for i in range(0, len(cycle), 2):  # edge hop first, then vertex pairing
+                    assert edge_pair[cycle[i]] == cycle[i + 1]
+                    assert vertex_pair[cycle[i + 1]] == cycle[(i + 2) % len(cycle)]
+
+
+class TestStrandedComponents:
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_matches_bfs_oracle(self, rank):
+        rng = random.Random(7 + rank)
+        split = 0
+        for _ in range(150):
+            s = _small_stranded(rng, rank, twists=True)
+            components = stranded_components(s)
+            assert components == bfs_components_oracle(s)
+            split += len(components) > 1
+        assert split > 0
 
 
 class TestBicoloredFaces:
