@@ -8,22 +8,22 @@ Three properties are decided, each with a constructive witness:
 - colorability: edges can be colored so every vertex sees each color
   once in cyclically consecutive order, with a white/black bipartition.
 
-Both decisions take linear time, with no search: multi-orientability
-is bipartiteness of a corner graph, taken as orbits by ``core._orbits``,
-and colorability propagates a forced color reading from each
-component's least label.  Witnesses are
+Both decisions take linear time, with no search.  Under the
+alternating pattern multi-orientability is a parity 2-coloring of the
+vertices by rotation, and a negative answer carries an odd closed walk
+as its certificate; under the block pattern every untwisted graph is
+signed by construction.  Colorability propagates a forced color
+reading from each component's least label.  Witnesses are
 lexicographically least (vertices in label order, choices ascending),
 so identical inputs give identical outputs.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import (BLACK, WHITE, ColoredGraph, HalfEdgeRef, StrandedGraph, _inverse,
-                   _orbits, stranded_components)
+from .core import BLACK, WHITE, ColoredGraph, HalfEdgeRef, StrandedGraph, _inverse, _orbits
 from .errors import TwistedInput, WrongRank
 
 
@@ -79,15 +79,18 @@ class SignAssignment:
 
 @dataclass(frozen=True)
 class MoObstruction:
-    """Evidence that no rotation works at ``vertex``, the first vertex in
-    label order on an odd cycle of the corner graph: per rotation of it,
-    the conflict met when the rest of its component is then signed in
-    label order, each vertex taking its least rotation that agrees with
-    those signed so far; the first vertex left with none reports the
-    conflicting edge of its least rotation.  Evidence, not a certificate."""
+    """Certificate that no signing exists under a period-two pattern.
+
+    ``cycle`` holds the edge indices of a closed walk from ``vertex``, the
+    least label of the first component without a signing: down the
+    traversal tree, across the first contradicting edge, and back up.  Its
+    edge parities (p + q + 1) mod 2 sum to 1, so no rotations satisfy it.
+    ``conflicts`` gives, per rotation of ``vertex``, that edge's half-edges
+    and the sign the tree forces at both its ends."""
 
     vertex: str
     conflicts: tuple[tuple[int, tuple[str, str], str], ...]
+    cycle: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -117,16 +120,15 @@ def is_untwisted(s: StrandedGraph) -> tuple[bool, tuple[int, ...]]:
 def mo_admissibility(s: StrandedGraph, pattern: SignPattern = ALTERNATING) -> MoResult:
     """Decide whether corner signs can make ``s`` multi-orientable.
 
-    Signs reading a rotation of the pattern at every vertex and joining
-    + to - along every edge are the 2-colorings of the corner graph that
-    links each edge's corners and each corner pair the pattern signs
-    oppositely under all rotations, so ``s`` is multi-orientable iff
-    that graph is bipartite.  Its orbits are taken on the signed double
-    cover, point 2x + b meaning "corner x has sign bit b", every link
-    flipping b.  Vertices in label order then each take the least
-    rotation agreeing with the orbits already fixed, which gives the
-    lexicographically least assignment, or stop at the first vertex on
-    an odd cycle (see ``MoObstruction``).
+    Under a period-two pattern (s, -s, s, -s) position p of a vertex with
+    rotation r reads s * (-1)^(p+r), so an edge from half-edge id h1 to h2
+    (ids are 4i + position) joins + to - iff r_u xor r_v = (h1 + h2 + 1)
+    mod 2: a parity 2-coloring of the vertices, forced from rotation 0 at
+    each component's least label.  Any other pattern signs opposite
+    corners oppositely, so its sign classes are the orbits of
+    x -> other[x] xor 2 and never conflict; vertices in label order each
+    take the least rotation agreeing with the classes fixed so far.  Either
+    way the witness is the lexicographically least one.
 
     Requires rank 3 and untwisted edges (multi-orientability is defined
     only without strand twists).
@@ -137,85 +139,71 @@ def mo_admissibility(s: StrandedGraph, pattern: SignPattern = ALTERNATING) -> Mo
     if not ok:
         raise TwistedInput(f"edges {list(offenders)} carry twists")
 
-    d = s.rank + 1
-    # cyclic neighbours for the alternating pattern, opposite corners for block
-    opposite = [(p, q) for p, q in itertools.combinations(range(d), 2)
-                if all(pattern.rotated(p, r) != pattern.rotated(q, r) for r in range(d))]
     order = s._index.order
-    corners = d * len(order)  # corner x is half-edge id x
+    if pattern.signs[0] == pattern.signs[2]:
+        rot, obstruction = _forced_rotations(s, pattern)
+        if obstruction is not None:
+            return MoResult(False, None, obstruction)
+    else:
+        # opposite corners lie in opposite classes, so a rotation is fixed by its
+        # signs at positions 0 and 1; all four pairs occur, so one always fits
+        cls = _orbits([[y ^ 2 for y in s._index.other]], 4 * len(order))
+        readings = [(r, [pattern.rotated(p, r) for p in range(4)])
+                    for r in pattern.distinct_rotations()]
+        held: dict[int, int] = {}  # sign class -> sign
+        rot = []
+        for x in range(0, 4 * len(order), 4):
+            classes = cls[x:x + 4]
+            r, signs = next((r, signs) for r, signs in readings
+                            if len(set(zip(classes, signs))) == len(set(classes))
+                            and all(held.get(c, w) == w for c, w in zip(classes, signs)))
+            rot.append(r)
+            held.update(zip(classes, signs))
 
-    def flipping(pairs: list[tuple[int, int]]) -> list[int]:
-        perm = list(range(2 * corners))
-        for x, y in pairs:
-            for b in (0, 1):
-                perm[2 * x + b], perm[2 * y + b] = 2 * y + 1 - b, 2 * x + 1 - b
-        return perm
-
-    orbit = _orbits(
-        [flipping(s._index.ends)]
-        + [flipping([(x + p, x + q) for x in range(0, corners, d)]) for p, q in opposite],
-        2 * corners)
-
-    readings = [(rot, [2 * p + (pattern.rotated(p, rot) < 0) for p in range(d)])
-                for rot in pattern.distinct_rotations()]
-    rotations: dict[str, int] = {}
-    held: set[int] = set()  # orbits whose points are fixed true
-    for i, label in enumerate(order):
-        for rot, bits in readings:
-            points = [2 * d * i + b for b in bits]
-            fixing = {orbit[q] for q in points}
-            if not any(orbit[q ^ 1] in held or orbit[q ^ 1] in fixing for q in points):
-                rotations[label] = rot
-                held |= fixing
-                break
-        else:
-            return MoResult(False, None, _mo_obstruction(s, pattern, i))
-
+    rotations = dict(zip(order, rot))
     signs = {HalfEdgeRef(label, pos): pattern.rotated(pos, rotations[label])
-             for label in order for pos in range(d)}
+             for label in order for pos in range(4)}
     return MoResult(True, SignAssignment(signs, pattern, rotations), None)
 
 
-def _mo_obstruction(s: StrandedGraph, pattern: SignPattern, vertex: int) -> MoObstruction:
-    """Greedy signing of the component of vertex number ``vertex``, once per rotation
-    of it; the component has no signing, so each rotation meets one conflict."""
-    d = s.rank + 1
-    order = s._index.order
-    component = set(next(c for c in stranded_components(s) if order[vertex] in c))
-    # per vertex number, the edges it touches: (position, other vertex, other position, ends)
-    touching: dict[int, list] = {i: [] for i, label in enumerate(order) if label in component}
-    for e, (h1, h2) in zip(s.edges, s._index.ends):
-        u, p, v, q = h1 // d, h1 % d, h2 // d, h2 % d
-        if u in touching:
-            touching[u].append((p, v, q, e.halfedges))
-            touching[v].append((q, u, p, e.halfedges))
-    candidates = pattern.distinct_rotations()
-    rest = [(i, candidates) for i in touching if i != vertex]
+def _forced_rotations(s: StrandedGraph, pattern: SignPattern
+                      ) -> tuple[list[int], MoObstruction | None]:
+    """Rotations forced by edge parities from rotation 0 at each
+    component's least label, or the obstruction at the first edge that
+    contradicts them."""
+    order, ends = s._index.order, s._index.ends
+    steps: list[list[tuple[int, int, int]]] = [[] for _ in order]  # (vertex, parity, edge)
+    for e, (h1, h2) in enumerate(ends):
+        steps[h1 // 4].append((h2 // 4, (h1 + h2 + 1) & 1, e))
+        steps[h2 // 4].append((h1 // 4, (h1 + h2 + 1) & 1, e))
+    rot = [-1] * len(order)
+    via: list[tuple[int, int] | None] = [None] * len(order)  # tree (parent, edge)
 
-    def conflict_at(u: int, rot: int, rotations: dict[int, int]):
-        for pos, other, opos, ends in touching[u]:
-            if other == u:
-                other_rot = rot
-            elif other in rotations:
-                other_rot = rotations[other]
-            else:
-                continue
-            mine = pattern.rotated(pos, rot)
-            if mine == pattern.rotated(opos, other_rot):
-                sign = "+" if mine > 0 else "-"
-                return ends, f"both ends signed {sign}"
-        return None
+    def up(u: int) -> list[int]:
+        path = []
+        while via[u] is not None:
+            u, e = via[u]
+            path.append(e)
+        return path
 
-    conflicts = []
-    for rot in candidates:
-        rotations: dict[int, int] = {}
-        for u, tries in [(vertex, (rot,))] + rest:
-            fit = next((r for r in tries if conflict_at(u, r, rotations) is None), None)
-            if fit is None:
-                conflicts.append((rot, *conflict_at(u, tries[0], rotations)))
-                break
-            rotations[u] = fit
-    return MoObstruction(order[vertex], tuple(conflicts))
+    for root in range(len(order)):
+        if rot[root] >= 0:
+            continue
+        rot[root] = 0
+        queue = [root]
+        for u in queue:
+            for v, parity, e in steps[u]:
+                if rot[v] < 0:
+                    rot[v], via[v] = rot[u] ^ parity, (u, e)
+                    queue.append(v)
+                elif rot[v] != rot[u] ^ parity:
+                    h = ends[e][0]
+                    signed = [pattern.rotated(h % 4, rot[h // 4] ^ r) for r in (0, 1)]
+                    conflicts = tuple((r, s.edges[e].halfedges,
+                                       f"both ends signed {'+' if sign > 0 else '-'}")
+                                      for r, sign in enumerate(signed))
+                    return rot, MoObstruction(order[root], conflicts, (*up(u)[::-1], e, *up(v)))
+    return rot, None
 
 
 def verify_sign_assignment(s: StrandedGraph, assignment: SignAssignment) -> bool:

@@ -68,6 +68,8 @@ class TestMoAdmissibility:
         assert obstruction.vertex == "v"
         # both rotations of the alternating pattern conflict
         assert len(obstruction.conflicts) == 2
+        assert obstruction.cycle == (0,)
+        assert_mo_certificate(tadpole_b, ALTERNATING, obstruction)
 
     def test_dipole_alternating(self, dipole):
         result = mo_admissibility(to_stranded(dipole), ALTERNATING)
@@ -300,6 +302,34 @@ def _ends(s):
     return [(s.halfedge_refs[a], s.halfedge_refs[b]) for a, b in (e.halfedges for e in s.edges)]
 
 
+def assert_mo_certificate(s, pattern, obstruction):
+    """``obstruction.cycle`` is a closed walk from ``obstruction.vertex``
+    whose edge parities (p + q + 1) mod 2 sum to 1, so no rotations of a
+    period-two pattern satisfy it.  Both conflicts name the one edge of the
+    walk that closes it, with the sign that the parities of the walk before
+    and after that edge force at its two ends."""
+    every = _ends(s)
+    ends = [every[e] for e in obstruction.cycle]
+    parities = [(r1.position + r2.position + 1) % 2 for r1, r2 in ends]
+    assert sum(parities) % 2 == 1
+    [closing] = {named for _rot, named, _reason in obstruction.conflicts}
+    [i] = [k for k, e in enumerate(obstruction.cycle) if s.edges[e].halfedges == closing]
+    at = obstruction.vertex
+    for k, (r1, r2) in enumerate(ends):
+        assert at in (r1.vertex, r2.vertex)
+        leaving, arriving = (r1, r2) if at == r1.vertex else (r2, r1)
+        if k == i:
+            forced = [(leaving.position, sum(parities[:i]) % 2),
+                      (arriving.position, sum(parities[i + 1:]) % 2)]
+        at = arriving.vertex
+    assert at == obstruction.vertex
+    assert [rot for rot, _named, _reason in obstruction.conflicts] == [0, 1]
+    for rot, _named, reason in obstruction.conflicts:
+        for position, relative in forced:
+            sign = pattern.rotated(position, relative ^ rot)
+            assert reason == f"both ends signed {'+' if sign > 0 else '-'}"
+
+
 def _first_signing(s, pattern):
     """Least rotation assignment, vertices in label order, by enumeration."""
     order = sorted(v.label for v in s.vertices)
@@ -358,9 +388,11 @@ class TestBruteForceOracle:
     def test_mo_matches_enumeration(self):
         rng = random.Random(2012)
         outcomes = set()
+        # hand-built patterns are decided by their shape, not their name
+        by_hand = (SignPattern("minus-first", (-1, 1, -1, 1)), SignPattern("split", (1, -1, -1, 1)))
         for _ in range(300):
             s = _small_stranded(rng, 3, twists=False)
-            for pattern in (ALTERNATING, BLOCK):
+            for pattern in (ALTERNATING, BLOCK, *by_hand):
                 expected = _first_signing(s, pattern)
                 result = mo_admissibility(s, pattern)
                 outcomes.add(result.admissible)
@@ -368,6 +400,7 @@ class TestBruteForceOracle:
                     assert result.admissible
                 if expected is None:
                     assert not result.admissible
+                    assert_mo_certificate(s, pattern, result.obstruction)
                 else:
                     assert result.admissible
                     assert result.assignment.rotations == expected

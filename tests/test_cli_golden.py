@@ -43,17 +43,25 @@ def _pairing(count: int, seed: int):
 ESCAPED = ['q"1', "b\\2", "é3", "w10", "w9", 'Ω"\\', "a", 'z"']
 
 
-def _escaped_expansion(seed: int):
-    """Untwisted rank-3 expansion of a colored graph whose labels need
-    JSON escaping, vertices declared in shuffled order."""
-    rng = random.Random(seed)
+def _escaped_colored(seed: int) -> ColoredGraph:
+    """Rank-3 colored graph on the eight labels of ``ESCAPED``, which
+    need JSON escaping and whose string order differs from their order
+    of declaration."""
     g = random_colored(3, 4, seed)
     names = dict(zip((label for label, _parity in g.nodes()), ESCAPED))
-    vertices = [(names[v], [f"{names[v]}:{c}" for c in g.colors]) for v, _parity in g.nodes()]
+    return ColoredGraph(3, tuple(names[w] for w in g.whites), tuple(names[b] for b in g.blacks),
+                        g.matchings)
+
+
+def _escaped_expansion(seed: int):
+    """Untwisted rank-3 expansion of ``_escaped_colored(seed)``, vertices
+    declared in shuffled order."""
+    rng = random.Random(seed)
+    g = _escaped_colored(seed)
+    vertices = [(v, [f"{v}:{c}" for c in g.colors]) for v, _parity in g.nodes()]
     rng.shuffle(vertices)
     return build_stranded(3, vertices, [
-        ((f"{names[e.white]}:{e.color}", f"{names[e.black]}:{e.color}"), None)
-        for e in g.edges()])
+        ((f"{e.white}:{e.color}", f"{e.black}:{e.color}"), None) for e in g.edges()])
 
 
 def _escaped_twisted(seed: int):
@@ -79,11 +87,13 @@ DOCUMENTS = {
     "adversarial-mo": lambda: make_tadpoles(3),
     "adversarial-colorable": lambda: make_dipoles(2),
     "pairing": lambda: _pairing(11, 72),
+    "pairing-negative": lambda: _pairing(8, 16),
     "reread-rank3": lambda: reread(random_colored(3, 4, 6), 6),
     "reread-rank4": lambda: reread(random_colored(4, 3, 1), 1),
     "odd-cycle": lambda: dihedral_stranded(2, ["w1", "b1", "w2", "b2"], [
         (0, "w1", "b1"), (0, "w2", "b2"), (1, "w1", "w2"), (1, "b1", "b2"),
         (2, "w1", "b2"), (2, "b1", "w2")], 3),
+    "escaped-colored": lambda: _escaped_colored(17),
     "escaped-rank3": lambda: _escaped_expansion(17),
     "escaped-rank4-twisted": lambda: _escaped_twisted(23),
 }
@@ -114,6 +124,12 @@ GOLDEN = {
         "7c6f1eddfef68e77ae23e8bb75431573077469e032e65a0a8450255a7d3c918a",
     ("census", "census-rank4"):
         "b19eaf1a41312148924ce7085c884144ddc9462e45603c9c7a8b889ecf52a59c",
+    ("escaped-colored", "bubbles"):
+        "c6d68921910051438b87599a22481fb1db8d179d39672c9d07463d0afa373666",
+    ("escaped-colored", "dual"):
+        "83498af16141268580143af5d27f4073def4999d1caea37c593e69a7fa1364a6",
+    ("escaped-colored", "faces"):
+        "6733140d827367125ea068fbb56eb69d54eafab41843b63bc28e0152a2b2689c",
     ("melonic", "bubbles"):
         "b02125fad9de009ef9efddd605274153fe69a32a14a93fae9c31f19e658c327c",
     ("melonic", "bubbles-all"):
@@ -209,6 +225,8 @@ DECISION_GOLDEN = {
         "d415257c212337d9f971454d720e45402b89fd2b114a1d77d0917f013d37076f",
     ("pairing", "check-mo-block"):
         "2da94fb453a88aa0ddc72d7aafb4ff6d65732d19a6e833b47bd5037fe7e2269d",
+    ("pairing-negative", "check-mo"):
+        "b0047468b3207e5c2573715d3a04a8b1ed4e34f04f66c94d317ab5f555269216",
     ("rank2", "check-colorable"):
         "833dc9d28bfeecd9baec8f0036a0b53dbbea2f23deb0c58f62090012935a8cf8",
     ("rank3", "check-colorable"):

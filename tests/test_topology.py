@@ -1,11 +1,14 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorgraphs import (
+    ColoredGraph,
     bicolored_face_count,
     bicolored_faces,
     euler_characteristic,
@@ -253,6 +256,19 @@ class TestBicoloredFaces:
         for a, b in itertools.combinations(g.colors, 2):
             assert pair_cycle_count(g, a, b) == composition_cycle_oracle(g, a, b)
         assert bicolored_face_count(g) == bicolored_faces(g).count
+
+    @pytest.mark.parametrize("rank, n", [(2, 1), (2, 2), (2, 3), (3, 3), (4, 2)])
+    def test_mean_face_count_is_exact(self, rank, n):
+        """Over all (n!)^(D+1) colored graphs every sigma_b^-1 sigma_a is a
+        uniform permutation, with H_n cycles on average, so the mean face
+        count is C(D+1, 2) * H_n exactly."""
+        whites = tuple(f"w{i}" for i in range(n))
+        blacks = tuple(f"b{i}" for i in range(n))
+        perms = list(itertools.permutations(range(n)))
+        counts = [bicolored_face_count(ColoredGraph(rank, whites, blacks, matchings))
+                  for matchings in itertools.product(perms, repeat=rank + 1)]
+        harmonic = sum(Fraction(1, k) for k in range(1, n + 1))
+        assert Fraction(sum(counts), len(counts)) == math.comb(rank + 1, 2) * harmonic
 
 
 class TestCrossValidation:
