@@ -14,19 +14,26 @@ parallelism:
   at the master seed.
 
 ``generator_id`` in reports names this exact recipe so an independent
-implementation can reproduce the numbers.
+implementation can reproduce the numbers.  How the draws are computed
+is not part of it: the n - 1 draws of a shuffle are computed together,
+lane-parallel in one int, and taken modulo their bounds when none of
+them can be rejected; otherwise the shuffle is redone draw by draw.
+Either way they are the draw-by-draw stream.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import os
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from .bubbles import _ribbon
-from .core import ColoredGraph, _bubble_table, _connected
+from .core import ColoredGraph, _connected, _face_step, _orbits
 from .errors import AttemptsExhausted, BadParameters
 
 GENERATOR_ID = "splitmix64/fisher-yates/v1"
@@ -34,11 +41,15 @@ GENERATOR_ID = "splitmix64/fisher-yates/v1"
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
+_Draws = Callable[[int], tuple[int, ...]]
 
-def _mix64(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
+
+def _mix64(z: int, lanes: int = _MASK) -> int:
+    """The SplitMix64 output function, on one 64-bit value or on every
+    lane of a packed int (see ``_block``)."""
+    z = ((z ^ ((z >> 30) & lanes)) * 0xBF58476D1CE4E5B9) & lanes
+    z = ((z ^ ((z >> 27) & lanes)) * 0x94D049BB133111EB) & lanes
+    return z ^ ((z >> 31) & lanes)
 
 
 class SplitMix64:
@@ -68,12 +79,68 @@ def subseed(seed: int, index: int) -> int:
     return _mix64((seed + (index + 1) * _GOLDEN) & _MASK)
 
 
-def _shuffled(n: int, rng: SplitMix64) -> tuple[int, ...]:
+def _block(k: int) -> _Draws:
+    """The next ``k`` outputs of SplitMix64 at a given state, in one pass.
+
+    Output t is mix64(state + (t+1)*golden), so all k are computed at
+    once in one int whose lane t, bits 128t..128t+63, holds the t-th
+    state.  Every shift is masked to the lanes and every lane times a
+    64-bit constant is below 2**128, so no bit crosses from one lane to
+    another.  Lanes are packed and read as pairs of little-endian 8-byte
+    words (``struct`` standard sizes, "<Q"), the same on every platform.
+    """
+    layout = struct.Struct(f"<{2 * k}Q")
+
+    def packed(values: Iterable[int]) -> int:
+        words = [0] * (2 * k)
+        words[::2] = values
+        return int.from_bytes(layout.pack(*words), "little")
+
+    lanes, ones = packed([_MASK] * k), packed([1] * k)
+    steps = packed(range(1, k + 1)) * _GOLDEN & lanes
+
+    def draws(state: int) -> tuple[int, ...]:
+        z = _mix64(((state & _MASK) * ones + steps) & lanes, lanes)
+        return layout.unpack(z.to_bytes(16 * k, "little"))[::2]
+
+    return draws
+
+
+def _shuffled(n: int, rng: SplitMix64, draws: _Draws) -> tuple[int, ...]:
+    """Descending-index Fisher-Yates over ``draws = _block(n - 1)``.
+
+    ``below(b)`` rejects only outputs of at least 2**64 - (2**64 mod b),
+    which is more than 2**64 - n for every bound b <= n.  So when no
+    draw of the block exceeds 2**64 - n, none is rejected and draw t is
+    taken modulo its bound as it is; otherwise the shuffle is redone
+    draw by draw from the state it started at.
+    """
+    state = rng._state
+    block = draws(state)
+    bounds = range(n, 1, -1)
+    if max(block, default=0) <= (1 << 64) - n:
+        rng._state = (state + (n - 1) * _GOLDEN) & _MASK
+        picks = map(operator.mod, block, bounds)
+    else:
+        picks = map(rng.below, bounds)
     values = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = rng.below(i + 1)
+    for i, j in zip(range(n - 1, 0, -1), picks):
         values[i], values[j] = values[j], values[i]
     return tuple(values)
+
+
+def _labels(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    return tuple(f"w{i}" for i in range(n)), tuple(f"b{i}" for i in range(n))
+
+
+def _draw_graph(
+    rank: int, seed: int, draws: _Draws, whites: tuple[str, ...], blacks: tuple[str, ...],
+) -> ColoredGraph:
+    """The graph at ``seed``, from parts shared by every graph of one
+    size: ``draws = _block(n - 1)`` and the vertex labels."""
+    rng = SplitMix64(seed)
+    matchings = tuple(_shuffled(len(whites), rng, draws) for _ in range(rank + 1))
+    return ColoredGraph(rank, whites, blacks, matchings)
 
 
 def _check_params(rank: int, n: int, seed: int) -> None:
@@ -93,11 +160,7 @@ def random_colored(rank: int, n: int, seed: int) -> ColoredGraph:
     seed) always yields the same graph, on any platform.
     """
     _check_params(rank, n, seed)
-    rng = SplitMix64(seed)
-    matchings = tuple(_shuffled(n, rng) for _ in range(rank + 1))
-    whites = tuple(f"w{i}" for i in range(n))
-    blacks = tuple(f"b{i}" for i in range(n))
-    return ColoredGraph(rank, whites, blacks, matchings)
+    return _draw_graph(rank, seed, _block(n - 1), *_labels(n))
 
 
 def random_connected(rank: int, n: int, seed: int, max_attempts: int = 100) -> ColoredGraph:
@@ -143,19 +206,47 @@ class CensusReport:
 
 
 def _sample_stats(g: ColoredGraph) -> tuple[int, tuple[int, ...], bool]:
-    """Faces, bubble genera and connectivity of one graph, all from one
-    bubble table: the all-colors row holds every face."""
-    *bubbles, whole = _bubble_table(
-        g, [*itertools.combinations(g.colors, 3), tuple(g.colors)])
-    genera = tuple(
-        _ribbon(row.colors, 2 * len(whites), 3 * len(whites), f).genus
-        for row in bubbles for whites, f in zip(row.whites, row.faces))
-    return sum(whole.faces), genera, len(whole.whites) == 1
+    """Faces, bubble genera and connectivity of one graph, as counts
+    over orbit labels: the {a, b}-faces are the distinct orbit labels of
+    sigma_b^-1 sigma_a, and a bubble's F counts the faces of its three
+    color pairs whose labels fall in it.  A triple that is one bubble
+    holds every face of its pairs and makes the graph connected; only
+    when no triple is one bubble are all colors' orbits taken."""
+    n = g.n
+    steps = {pair: _face_step(g, *pair) for pair in itertools.combinations(g.colors, 2)}
+    faces = {pair: set(_orbits([step], n)) for pair, step in steps.items()}
+    genera = []
+    connected = False
+    for colors in itertools.combinations(g.colors, 3):
+        x, y, z = colors
+        labels = _orbits([steps[x, y], steps[x, z]], n)
+        roots = (*faces[x, y], *faces[x, z], *faces[y, z])
+        if max(labels) == 0:
+            sizes, f = {0: n}, {0: len(roots)}
+            connected = True
+        else:
+            sizes, f = Counter(labels), Counter(map(labels.__getitem__, roots))
+        genera.extend(_ribbon(colors, 2 * w, 3 * w, f[root]).genus for root, w in sizes.items())
+    if not connected:
+        connected = max(_orbits([steps[0, b] for b in g.colors[1:]], n)) == 0
+    return sum(map(len, faces.values())), tuple(genera), connected
 
 
-def _draw_stats(args: tuple[int, int, int, int]) -> tuple[int, tuple[int, ...], bool]:
-    rank, n, seed, index = args
-    return _sample_stats(random_colored(rank, n, subseed(seed, index)))
+def _census_part(args: tuple[int, int, int, range]) -> tuple[int, Counter, Counter, int]:
+    """Totals over the samples at ``indices``: faces, samples by bubble
+    count, bubbles by genus, and connected samples."""
+    rank, n, seed, indices = args
+    draws, (whites, blacks) = _block(n - 1), _labels(n)
+    faces = connected = 0
+    bubble_counts: Counter = Counter()
+    genus_hist: Counter = Counter()
+    for j in indices:
+        f, genera, c = _sample_stats(_draw_graph(rank, subseed(seed, j), draws, whites, blacks))
+        faces += f
+        bubble_counts[len(genera)] += 1
+        genus_hist.update(genera)
+        connected += c
+    return faces, bubble_counts, genus_hist, connected
 
 
 def census(
@@ -171,6 +262,8 @@ def census(
     independent streams and the report is identical for any degree of
     parallelism; ``parallelism`` is a throughput hint only, capped at the
     CPU count and the sample count, and 1 after the cap runs serially.
+    Samples are folded into running totals as they are drawn; each
+    worker totals one contiguous range of samples, and the totals add.
     """
     _check_params(rank, n, seed)
     if samples < 1:
@@ -178,27 +271,31 @@ def census(
     if parallelism < 1:
         raise BadParameters(f"parallelism must be >= 1, got {parallelism}")
 
-    jobs = [(rank, n, seed, j) for j in range(samples)]
     workers = min(parallelism, os.cpu_count() or 1, samples)
+    parts = [(rank, n, seed, range(samples * w // workers, samples * (w + 1) // workers))
+             for w in range(workers)]
     if workers > 1:
         import multiprocessing
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_draw_stats, jobs)
+            totals = pool.map(_census_part, parts)
     else:
-        results = [_draw_stats(job) for job in jobs]
+        totals = [_census_part(parts[0])]
 
-    faces, genera, connected = zip(*results)
-    bubble_counts = Counter(map(len, genera))
-    genus_hist = Counter(itertools.chain.from_iterable(genera))
+    faces, bubble_counts, genus_hist, connected = totals[0]
+    for f, counts, genera, c in totals[1:]:
+        faces += f
+        bubble_counts.update(counts)
+        genus_hist.update(genera)
+        connected += c
     return CensusReport(
         samples=samples,
         rank=rank,
         n=n,
         seed=seed,
-        mean_faces=Fraction(sum(faces), samples),
+        mean_faces=Fraction(faces, samples),
         bubble_count_distribution={k: bubble_counts[k] for k in sorted(bubble_counts)},
         genus_histogram={k: genus_hist[k] for k in sorted(genus_hist)},
         planar_fraction=Fraction(genus_hist[0], sum(genus_hist.values())),
-        connected_fraction=Fraction(sum(connected), samples),
+        connected_fraction=Fraction(connected, samples),
         generator_id=GENERATOR_ID,
     )

@@ -1,5 +1,7 @@
+import math
 import multiprocessing
 import os
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from tensorgraphs import (
     components,
     random_colored,
     random_connected,
+    sampling,
     serialize_graph,
     subseed,
     validate_colored,
@@ -19,6 +22,13 @@ from tensorgraphs.errors import AttemptsExhausted, BadParameters
 
 # Reference outputs of the published generator (stream seeded at 0).
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
+
+# Built by inverting mix64: the first output of the stream at
+# REJECTING_SEED is 2**64 - 1, which below(3) rejects (its limit is
+# 2**64 - 1), and sample 0 of a census at CENSUS_REJECTING_SEED is drawn
+# at REJECTING_SEED.
+REJECTING_SEED = 0x31628AF67B2131AB
+CENSUS_REJECTING_SEED = 0x1FDB84807C8BC327
 
 
 def splitmix64_reference(seed, count):
@@ -55,6 +65,18 @@ class TestGenerator:
         draws = {rng.below(5) for _ in range(200)}
         assert draws == {0, 1, 2, 3, 4}
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, 2**64 + 5],
+                             ids=["0", "1", "2^63", "2^64-1", "2^64+5"])
+    def test_block_is_the_stream(self, seed):
+        for k in (0, 1, 2, 49, 3999):
+            rng = SplitMix64(seed)
+            assert sampling._block(k)(seed) == tuple(rng.next_u64() for _ in range(k))
+
+    def test_rejecting_seed(self):
+        rng = SplitMix64(REJECTING_SEED)
+        assert rng.next_u64() == 2**64 - 1
+        assert subseed(CENSUS_REJECTING_SEED, 0) == REJECTING_SEED
+
 
 class TestRandomColored:
     def test_n1_is_the_dipole(self):
@@ -67,6 +89,11 @@ class TestRandomColored:
         b = random_colored(3, 4, 7)
         assert a == b
         assert serialize_graph(a) == serialize_graph(b)
+
+    def test_rejected_draw_is_redrawn(self):
+        # recorded from the draw-by-draw shuffle
+        g = random_colored(2, 3, REJECTING_SEED)
+        assert g.matchings == ((2, 0, 1), (2, 1, 0), (0, 1, 2))
 
     def test_frozen_draws_for_seed7(self):
         # pins the documented draw order: colors ascending, one
@@ -157,6 +184,46 @@ class TestCensus:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert census(3, 2, samples, 9, parallelism=10**6) == expected
         assert sizes == workers
+
+    @pytest.mark.parametrize("seed, samples, expected", [
+        (REJECTING_SEED, 50,
+         (Fraction(138, 25), {1: 37, 2: 10, 3: 3}, {0: 63, 1: 3}, Fraction(37, 50))),
+        (CENSUS_REJECTING_SEED, 20,
+         (Fraction(28, 5), {1: 13, 2: 7}, {0: 26, 1: 1}, Fraction(13, 20))),
+    ], ids=["rejecting-seed", "rejecting-sample"])
+    def test_frozen_census_at_rejecting_seeds(self, seed, samples, expected):
+        # recorded from the draw-by-draw generator
+        report = census(2, 3, samples, seed)
+        assert (report.mean_faces, report.bubble_count_distribution,
+                report.genus_histogram, report.connected_fraction) == expected
+
+    @pytest.mark.parametrize("rank, n, seed", [(3, 50, 8101), (4, 20, 8102), (2, 10, 8103)])
+    def test_mean_faces_closed_form(self, rank, n, seed):
+        """Each sigma_b^-1 sigma_a is a uniform permutation, whose cycle
+        count has mean H_n and variance H_n - H_n^(2); so E[faces] =
+        C(D+1, 2) H_n, and by Cauchy-Schwarz the variance of the sum is
+        at most C(D+1, 2)^2 (H_n - H_n^(2))."""
+        samples = 2000
+        pairs = math.comb(rank + 1, 2)
+        h1 = sum(Fraction(1, k) for k in range(1, n + 1))
+        h2 = sum(Fraction(1, k * k) for k in range(1, n + 1))
+        standard_error = pairs * math.sqrt(h1 - h2) / math.sqrt(samples)
+        mean = census(rank, n, samples, seed).mean_faces
+        assert abs(float(mean - pairs * h1)) <= 5 * standard_error
+
+    def test_memory_does_not_grow_with_samples(self):
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                census(2, 2, samples, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a first run fills the interpreter's free lists, which
+        # tracemalloc counts as allocated
+        census(2, 2, 4000, 3)
+        assert peak(4000) <= peak(200) + 64 * 1024
 
     def test_histogram_totals(self):
         report = census(3, 3, 50, 9)
