@@ -6,7 +6,11 @@ faces the two-color cycles inside the bubble) it has an Euler
 characteristic and hence a genus.
 
 Bubbles and their faces are orbit counts of the matchings, read from the
-bubble table in ``core``; bubble objects are built only for output.
+bubble table in ``core``; bubble objects are built only for output.  The
+three-color bubbles have one walk, ``_bubble_records``, which yields each
+in record order as vertex indices and counts: ``bubble_census`` builds
+its records from it, and ``render`` writes the CLI's bubbles report
+from it directly.
 """
 
 from __future__ import annotations
@@ -14,9 +18,11 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from .core import ColoredEdge, ColoredGraph, _bubble_table, _Bubbles, _component, build_colored
-from .errors import BadCardinal, InvariantViolation
+from .core import (
+    ColoredEdge, ColoredGraph, _bubble_genus, _bubble_table, _component, build_colored)
+from .errors import BadCardinal
 from .topology import RibbonCounts, bicolored_face_count
 
 
@@ -61,14 +67,25 @@ class BubbleCensus:
     genus_histogram: dict[int, int]
 
 
-def _bubbles(g: ColoredGraph, row: _Bubbles) -> list[tuple[Bubble, int]]:
-    """Bubble objects of one table row with their face counts, ordered
-    by least vertex label."""
-    found = []
-    for whites, f in zip(row.whites, row.faces):
-        comp = _component(g, row.colors, whites)
-        found.append((Bubble(row.colors, comp.vertices, comp.edges, g), f))
-    return sorted(found, key=lambda bubble_f: min(bubble_f[0].vertices))
+def _bubble_rows(g: ColoredGraph, k: int) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
+    """(colors, white indices, F) of every bubble over the cardinal-k
+    color subsets, subsets lexicographic, bubbles by least vertex label.
+    A bubble's blacks are sigma_a of its whites, a = min colors."""
+    for row in _bubble_table(g, itertools.combinations(g.colors, k)):
+        sigma = g.matchings[row.colors[0]]
+
+        def least(whites_f: tuple[list[int], int]) -> str:
+            whites = whites_f[0]
+            return min(min(map(g.whites.__getitem__, whites)),
+                       min(map(g.blacks.__getitem__, map(sigma.__getitem__, whites))))
+
+        for whites, f in sorted(zip(row.whites, row.faces), key=least):
+            yield row.colors, whites, f
+
+
+def _bubble(g: ColoredGraph, colors: tuple[int, ...], whites: list[int]) -> Bubble:
+    comp = _component(g, colors, whites)
+    return Bubble(colors, comp.vertices, comp.edges, g)
 
 
 def enumerate_bubbles(g: ColoredGraph, k: int = 3) -> list[Bubble]:
@@ -80,22 +97,18 @@ def enumerate_bubbles(g: ColoredGraph, k: int = 3) -> list[Bubble]:
     """
     if not 1 <= k <= g.rank + 1:
         raise BadCardinal(f"cardinal {k} outside 1..{g.rank + 1}")
-    return [
-        b for row in _bubble_table(g, itertools.combinations(g.colors, k))
-        for b, _f in _bubbles(g, row)
-    ]
+    return [_bubble(g, colors, whites) for colors, whites, _f in _bubble_rows(g, k)]
 
 
-def _ribbon(colors: tuple[int, ...], v: int, e: int, f: int) -> RibbonCounts:
-    """Counts of one three-color bubble.  Bubbles of valid colored graphs
-    are connected and orientable, so chi is even and genus non-negative;
-    anything else is an internal fault."""
-    chi = v - e + f
-    if chi % 2 != 0 or chi > 2:
-        raise InvariantViolation(
-            f"bubble over colors {colors} has impossible counts "
-            f"(V={v}, E={e}, F={f})")
-    return RibbonCounts(v, e, f, chi, (2 - chi) // 2)
+def _bubble_records(
+    g: ColoredGraph,
+) -> Iterator[tuple[tuple[int, ...], list[int], list[int], tuple[int, int, int, int, int]]]:
+    """(colors, white indices, black indices, (V, E, F, chi, genus)) of
+    every three-color bubble, in record order."""
+    for colors, whites, f in _bubble_rows(g, 3):
+        v, e = 2 * len(whites), 3 * len(whites)
+        blacks = sorted(map(g.matchings[colors[0]].__getitem__, whites))
+        yield colors, whites, blacks, (v, e, f, v - e + f, _bubble_genus(colors, v, e, f))
 
 
 def bubble_ribbon(b: Bubble) -> RibbonCounts:
@@ -114,7 +127,8 @@ def bubble_ribbon(b: Bubble) -> RibbonCounts:
     blacks = [v for v in b.vertices if v not in g.white_index]
     edges = [(b.colors.index(e.color), e.white, e.black) for e in b.edges]
     f = bicolored_face_count(build_colored(2, whites, blacks, edges))
-    return _ribbon(b.colors, len(b.vertices), len(b.edges), f)
+    v, e = len(b.vertices), len(b.edges)
+    return RibbonCounts(v, e, f, v - e + f, _bubble_genus(b.colors, v, e, f))
 
 
 def bubble_census(g: ColoredGraph) -> BubbleCensus:
@@ -123,13 +137,9 @@ def bubble_census(g: ColoredGraph) -> BubbleCensus:
     Record order is deterministic (subsets lexicographic, components by
     least vertex label), so two runs over the same graph are identical.
     """
-    records = []
-    for row in _bubble_table(g, itertools.combinations(g.colors, 3)):
-        for b, f in _bubbles(g, row):
-            counts = _ribbon(b.colors, len(b.vertices), len(b.edges), f)
-            records.append(BubbleRecord(
-                b, counts.v, counts.e, counts.f, counts.chi,
-                counts.genus, counts.genus == 0))
+    records = [
+        BubbleRecord(_bubble(g, colors, whites), *counts, counts[-1] == 0)
+        for colors, whites, _blacks, counts in _bubble_records(g)]
     histogram = Counter(r.genus for r in records)
     return BubbleCensus(tuple(records), len(records), histogram[0],
                         {genus: histogram[genus] for genus in sorted(histogram)})

@@ -115,104 +115,33 @@ def _cmd_validate(args) -> CommandResult:
 
 
 def _cmd_faces(args) -> CommandResult:
-    from .core import ColoredGraph
-    from .topology import bicolored_faces, trace_faces
-    g = _load(args.file)
-    if isinstance(g, ColoredGraph):
-        faces = bicolored_faces(g)
-        payload = {
-            "mode": "colored",
-            "count": faces.count,
-            "faces": [
-                {
-                    "colors": sorted({e.color for e in cycle}),
-                    "length": len(cycle),
-                    "edges": [{"color": e.color, "white": e.white, "black": e.black}
-                              for e in cycle],
-                }
-                for cycle in faces.faces
-            ],
-        }
-        lines = [f"faces: {faces.count}"]
-        for cycle in faces.faces:
-            colors = sorted({e.color for e in cycle})
-            steps = " ".join(f"{e.white}-{e.black}({e.color})" for e in cycle)
-            lines.append(f"  colors {{{colors[0]},{colors[1]}}} length {len(cycle)}: {steps}")
-    else:
-        faces = trace_faces(g)
-        payload = {
-            "mode": "stranded",
-            "count": faces.count,
-            "faces": [
-                {
-                    "length": len(cycle) // 2,
-                    "slots": [{"vertex": s.vertex, "position": s.position, "slot": s.slot}
-                              for s in cycle],
-                }
-                for cycle in faces.faces
-            ],
-        }
-        lines = [f"faces: {faces.count}"]
-        for cycle in faces.faces:
-            steps = " ".join(f"{s.vertex}[{s.position}].{s.slot}" for s in cycle)
-            lines.append(f"  length {len(cycle) // 2}: {steps}")
-    if args.json:
-        return CommandResult(0, _json_report(payload))
-    return CommandResult(0, "\n".join(lines))
+    from .render import faces_report
+    return CommandResult(0, faces_report(_load(args.file), args.json))
 
 
 def _cmd_bubbles(args) -> CommandResult:
-    from .bubbles import bubble_census, enumerate_bubbles
+    from .bubbles import enumerate_bubbles
     g = _require_colored(_load(args.file), "bubbles")
     if args.k == 3:
-        result = bubble_census(g)
-        payload = {
-            "k": 3,
-            "records": [
-                {
-                    "colors": list(r.bubble.colors),
-                    "vertices": list(r.bubble.vertices),
-                    "v": r.v, "e": r.e, "f": r.f,
-                    "chi": r.chi, "genus": r.genus, "planar": r.planar,
-                }
-                for r in result.records
-            ],
-            "total": result.total,
-            "planar_count": result.planar_count,
-            "genus_histogram": {str(k): v for k, v in result.genus_histogram.items()},
-        }
-        lines = []
-        for i, r in enumerate(result.records):
-            colors = ",".join(str(c) for c in r.bubble.colors)
-            flat = "planar" if r.planar else "non-planar"
-            lines.append(
-                f"  [{i}] colors {{{colors}}} V={r.v} E={r.e} F={r.f} "
-                f"chi={r.chi} genus={r.genus} {flat}")
-        hist = " ".join(f"{k}:{v}" for k, v in result.genus_histogram.items())
-        lines = [f"bubbles: {result.total}"] + lines + [
-            f"planar: {result.planar_count}/{result.total}",
-            f"genus histogram: {hist}",
-        ]
-    else:
-        bubbles = enumerate_bubbles(g, args.k)
-        payload = {
-            "k": args.k,
-            "bubbles": [b.detach() | {"v": len(b.vertices), "e": len(b.edges)}
-                        for b in bubbles],
-            "total": len(bubbles),
-        }
-        lines = [f"bubbles: {len(bubbles)}"]
-        for i, b in enumerate(bubbles):
-            colors = ",".join(str(c) for c in b.colors)
-            lines.append(f"  [{i}] colors {{{colors}}} V={len(b.vertices)} E={len(b.edges)}")
+        from .render import bubbles_report
+        return CommandResult(0, bubbles_report(g, args.json))
+    bubbles = enumerate_bubbles(g, args.k)
     if args.json:
-        return CommandResult(0, _json_report(payload))
+        return CommandResult(0, _json_report({
+            "k": args.k,
+            "bubbles": [b.detach() | {"v": len(b.vertices), "e": len(b.edges)} for b in bubbles],
+            "total": len(bubbles),
+        }))
+    lines = [f"bubbles: {len(bubbles)}"]
+    for i, b in enumerate(bubbles):
+        colors = ",".join(str(c) for c in b.colors)
+        lines.append(f"  [{i}] colors {{{colors}}} V={len(b.vertices)} E={len(b.edges)}")
     return CommandResult(0, "\n".join(lines))
 
 
 def _counts_of(g: ColoredGraph | StrandedGraph) -> tuple[int, int, int, bool]:
     from .core import ColoredGraph, _connected, stranded_components
-    from .topology import bicolored_face_count, trace_faces
+    from .topology import _strand_circuits, bicolored_face_count
     if isinstance(g, ColoredGraph):
         v = 2 * g.n
         e = (g.rank + 1) * g.n
@@ -221,7 +150,7 @@ def _counts_of(g: ColoredGraph | StrandedGraph) -> tuple[int, int, int, bool]:
     else:
         v = len(g.vertices)
         e = len(g.edges)
-        f = trace_faces(g).count
+        f = sum(1 for _cycle in _strand_circuits(g))
         connected = len(stranded_components(g)) == 1
     return v, e, f, connected
 

@@ -45,6 +45,7 @@ from .errors import (
     DanglingHalfEdge,
     DuplicateColorAtVertex,
     HalfEdgeReused,
+    InvariantViolation,
     MissingColorAtVertex,
     UnequalParts,
     UnknownNode,
@@ -201,6 +202,12 @@ class StrandedGraph:
                 for slot in range(self.rank + 1):
                     if slot != pos:
                         yield StrandSlot(v.label, pos, slot)
+
+
+def _slot_labels(rank: int) -> list[tuple[int, int]]:
+    """(position, slot label) of each slot of a vertex, by its id within
+    the vertex: id p*D + k is the k-th slot label other than p."""
+    return [(p, q) for p in range(rank + 1) for q in range(rank + 1) if q != p]
 
 
 def identity_permutation(rank: int) -> tuple[int, ...]:
@@ -379,6 +386,18 @@ def _bubble_table(g: ColoredGraph, subsets: Iterable[tuple[int, ...]]) -> list[_
         groups = _groups(labels)
         table.append(_Bubbles(colors, groups, [faces[whites[0]] for whites in groups]))
     return table
+
+
+def _bubble_genus(colors: tuple[int, ...], v: int, e: int, f: int) -> int:
+    """Genus of one three-color bubble.  Bubbles of valid colored graphs
+    are connected and orientable, so chi is even and genus non-negative;
+    anything else is an internal fault."""
+    chi = v - e + f
+    if chi % 2 != 0 or chi > 2:
+        raise InvariantViolation(
+            f"bubble over colors {colors} has impossible counts "
+            f"(V={v}, E={e}, F={f})")
+    return (2 - chi) // 2
 
 
 def _component(g: ColoredGraph, colors: tuple[int, ...], whites: list[int]) -> Component:

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .bubbles import _ribbon
-from .core import ColoredGraph, _connected, _face_step, _orbits
+from .core import ColoredGraph, _bubble_genus, _connected, _face_step, _orbits
 from .errors import AttemptsExhausted, BadParameters
 
 GENERATOR_ID = "splitmix64/fisher-yates/v1"
@@ -226,7 +225,7 @@ def _sample_stats(g: ColoredGraph) -> tuple[int, tuple[int, ...], bool]:
             connected = True
         else:
             sizes, f = Counter(labels), Counter(map(labels.__getitem__, roots))
-        genera.extend(_ribbon(colors, 2 * w, 3 * w, f[root]).genus for root, w in sizes.items())
+        genera.extend(_bubble_genus(colors, 2 * w, 3 * w, f[root]) for root, w in sizes.items())
     if not connected:
         connected = max(_orbits([steps[0, b] for b in g.colors[1:]], n)) == 0
     return sum(map(len, faces.values())), tuple(genera), connected

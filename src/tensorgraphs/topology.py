@@ -7,14 +7,22 @@ as the connected components of two-color subgraphs, which are even
 alternating cycles: the {a, b}-faces are the orbits of sigma_b^-1
 sigma_a on whites, counted by the orbit kernel in ``core``.  Both routes
 are implemented and must agree.
+
+Each kind of face has one walk, a private generator of integer ids:
+``_strand_circuits`` yields slot ids and ``_colored_face_walks`` white
+indices.  ``trace_faces`` and ``bicolored_faces`` build their objects
+from these walks, and ``render`` writes the CLI's faces report from
+them directly.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
-from .core import ColoredEdge, ColoredGraph, StrandSlot, StrandedGraph, _face_step, _orbits
+from .core import (
+    ColoredEdge, ColoredGraph, StrandSlot, StrandedGraph, _face_step, _orbits, _slot_labels)
 from .errors import BadParameters, Disconnected, NegativeGenus, OddEuler
 
 
@@ -45,21 +53,15 @@ class RibbonCounts:
     genus: int | None
 
 
-def trace_faces(s: StrandedGraph) -> FaceSet:
-    """Faces of a closed stranded graph by strand tracing.
-
-    Each face starts at its least slot and is traversed edge transition
-    first, so output is deterministic.  Every slot lies in exactly one
-    face.
-    """
-    rank, d = s.rank, s.rank + 1
-    order, glue = s._index.order, s._index.glue
-    slots = [StrandSlot(v, p, q) for v in order for p in range(d) for q in range(d) if q != p]
+def _strand_circuits(s: StrandedGraph) -> Iterator[list[int]]:
+    """The faces of a stranded graph as lists of slot ids, by least slot;
+    each starts there and takes the edge transition first."""
+    rank = s.rank
+    glue = s._index.glue
     # within a vertex, slot q of position p pairs with slot p of position q
-    block = rank * d
-    pairing = [q * rank + p - (p > q) for p in range(d) for q in range(d) if q != p]
+    block = rank * (rank + 1)
+    pairing = [q * rank + p - (p > q) for p, q in _slot_labels(rank)]
     seen = bytearray(len(glue))
-    faces: list[tuple[StrandSlot, ...]] = []
     for start in range(len(glue)):
         if seen[start]:
             continue
@@ -72,8 +74,39 @@ def trace_faces(s: StrandedGraph) -> FaceSet:
             cur = hop - hop % block + pairing[hop % block]
             if cur == start:
                 break
-        faces.append(tuple(map(slots.__getitem__, cycle)))
-    return FaceSet(tuple(faces), len(faces))
+        yield cycle
+
+
+def trace_faces(s: StrandedGraph) -> FaceSet:
+    """Faces of a closed stranded graph by strand tracing.
+
+    Each face starts at its least slot and is traversed edge transition
+    first, so output is deterministic.  Every slot lies in exactly one
+    face.
+    """
+    slots = [StrandSlot(v, p, q) for v in s._index.order for p, q in _slot_labels(s.rank)]
+    faces = tuple(tuple(map(slots.__getitem__, cycle)) for cycle in _strand_circuits(s))
+    return FaceSet(faces, len(faces))
+
+
+def _colored_face_walks(g: ColoredGraph) -> Iterator[tuple[int, int, list[int]]]:
+    """The faces of a colored graph as (a, b, whites): the {a, b}-cycle
+    through white indices ``whites``, from its least, stepping by
+    sigma_b^-1 sigma_a.  Its edges are the color-a edge at whites[t]
+    followed by the color-b edge at whites[t + 1], cyclically."""
+    for a, b in itertools.combinations(g.colors, 2):
+        step = _face_step(g, a, b)
+        seen = bytearray(g.n)
+        for start in range(g.n):
+            if seen[start]:
+                continue
+            cycle = []
+            i = start
+            while not seen[i]:
+                seen[i] = 1
+                cycle.append(i)
+                i = step[i]
+            yield a, b, cycle
 
 
 def bicolored_faces(g: ColoredGraph) -> FaceSet:
@@ -83,21 +116,13 @@ def bicolored_faces(g: ColoredGraph) -> FaceSet:
     the color-a edge first and have even length.
     """
     faces: list[tuple[ColoredEdge, ...]] = []
-    for a, b in itertools.combinations(g.colors, 2):
-        sigma_a, step = g.matchings[a], _face_step(g, a, b)
-        for start, root in enumerate(_orbits([step], g.n)):
-            if start != root:
-                continue
-            cycle: list[ColoredEdge] = []
-            i = start
-            while True:
-                j = sigma_a[i]
-                cycle.append(ColoredEdge(a, g.whites[i], g.blacks[j]))
-                i = step[i]
-                cycle.append(ColoredEdge(b, g.whites[i], g.blacks[j]))
-                if i == start:
-                    break
-            faces.append(tuple(cycle))
+    for a, b, whites in _colored_face_walks(g):
+        sigma_a, sigma_b = g.matchings[a], g.matchings[b]
+        cycle: list[ColoredEdge] = []
+        for i, k in zip(whites, whites[1:] + whites[:1]):
+            cycle += (ColoredEdge(a, g.whites[i], g.blacks[sigma_a[i]]),
+                      ColoredEdge(b, g.whites[k], g.blacks[sigma_b[k]]))
+        faces.append(tuple(cycle))
     return FaceSet(tuple(faces), len(faces))
 
 

@@ -96,6 +96,8 @@ DOCUMENTS = {
     "escaped-colored": lambda: _escaped_colored(17),
     "escaped-rank3": lambda: _escaped_expansion(17),
     "escaped-rank4-twisted": lambda: _escaped_twisted(23),
+    "empty-colored": lambda: ColoredGraph(3, (), (), ((),) * 4),
+    "empty-stranded": lambda: build_stranded(3, [], []),
 }
 
 GRAPH_COMMANDS = {
@@ -322,3 +324,60 @@ def test_stranded_bytes(tmp_path, doc, command):
     path.write_bytes(serialize_graph(DOCUMENTS[doc]()))
     argv = [arg.format(file=path) for arg in STRANDED_COMMANDS[command]]
     assert _digest(argv) == STRANDED_GOLDEN[(doc, command)]
+
+
+WALK_COMMANDS = {
+    "faces": STRANDED_COMMANDS["faces"],
+    "faces-text": STRANDED_COMMANDS["faces-text"],
+    "bubbles": ["bubbles", "{file}", "--json"],
+    "bubbles-text": ["bubbles", "{file}"],
+}
+
+# reports rendered straight from the face and bubble walks, beyond the
+# --json forms pinned above: text forms and empty graphs
+WALK_GOLDEN = {
+    ("empty-colored", "bubbles"):
+        "1a07e201d214adca52c775995113acadf2bd9818bed9f1cb7d64bb4d72b40724",
+    ("empty-colored", "bubbles-text"):
+        "c3e2f886bd4190994b2be3fa95c25686d4761009b23acfbfedb9c0d023e123f8",
+    ("empty-colored", "faces"):
+        "6fb1cffd54cf2a9375e10653f40261f4fd7cb83077920c2d8534b3b20194f3c4",
+    ("empty-colored", "faces-text"):
+        "7cf43308378cc0961286d5f108e3c2522011e733d12f628df500db8223803099",
+    ("empty-stranded", "faces"):
+        "0ae0d597c31d17e72a8d7460ed3cde674dfee791ddf59aed401170dc977b584a",
+    ("empty-stranded", "faces-text"):
+        "7cf43308378cc0961286d5f108e3c2522011e733d12f628df500db8223803099",
+    ("escaped-colored", "bubbles-text"):
+        "b4dc728b5e03c4c564ccf58b9d9b4eb1fb6dd22e48774b40367c3b50cd98d816",
+    ("escaped-colored", "faces-text"):
+        "ebb20e1787c2082cd7720aa729eaf34fc03fd611e36ea401ebb7f394bf24e707",
+    ("melonic", "bubbles-text"):
+        "5133e9aef57d539ae02ba93c740836a26e76e684c9bbeae70fcac80fefa55535",
+    ("melonic", "faces-text"):
+        "c37f3c0c826dd56c5d363af8745a073fe20fdf5e1237afc713883aeb1b8436e3",
+    ("rank2", "bubbles-text"):
+        "a90985cde781eac7be6851effebfc629eec3fdab7a11bd66d9f0d493580690a1",
+    ("rank2", "faces-text"):
+        "5afa0d51334942f8cd9d404d1c5738cb187fc84c567515052707b0f08a57c4bb",
+    ("rank2-disconnected", "bubbles-text"):
+        "f89a51e62726395399a6ceaa9027e2c2e19f153988c5a0076728d98ccf00d4f9",
+    ("rank2-disconnected", "faces-text"):
+        "f99a1dbf3b5e5dc287cb716be70d71b5cea3ece24cb86630c8cccdbce570b70b",
+    ("rank3", "bubbles-text"):
+        "6bb02af215757a5608c3689ea1e1945da84eea219c12cecc89c2d9297fbfdc10",
+    ("rank3", "faces-text"):
+        "5938660a2fe94396330beab155ee14ffdabfdb00ff7d57fb7db93225a49ceca0",
+    ("rank4", "bubbles-text"):
+        "20202725206715af12e9572ea7f9bd99ad8ccb35324cbc64fd28f13e7b00456d",
+    ("rank4", "faces-text"):
+        "bc68a4d60f3c37fc3ea59678afe9ee42ceff3edf1102c28d0bb510da954350ef",
+}
+
+
+@pytest.mark.parametrize("doc, command", sorted(WALK_GOLDEN), ids=str)
+def test_walk_report_bytes(tmp_path, doc, command):
+    path = tmp_path / f"{doc}.json"
+    path.write_bytes(serialize_graph(DOCUMENTS[doc]()))
+    argv = [arg.format(file=path) for arg in WALK_COMMANDS[command]]
+    assert _digest(argv) == WALK_GOLDEN[(doc, command)]

@@ -34,7 +34,8 @@ PUBLIC_NAMES = [
 ]
 
 COMPUTE_MODULES = [f"tensorgraphs.{m}" for m in
-                   ("core", "topology", "bubbles", "dual", "checks", "sampling", "formats")]
+                   ("core", "topology", "bubbles", "dual", "checks", "sampling", "formats",
+                    "render")]
 
 # runs in a fresh interpreter: import the CLI, run argv (if any) in-process,
 # print the names of the loaded modules
@@ -105,8 +106,17 @@ def test_check_mo_loads_no_sampling(tmp_path):
                               "tensorgraphs.dual", "multiprocessing", "fractions"])
 
 
+SERIAL_CENSUS = ["census", "--rank", "3", "--size", "3", "--samples", "5", "--seed", "1",
+                 "--jobs", "1"]
+
+
 def test_serial_census_loads_no_multiprocessing():
-    loaded = _loaded_after(["census", "--rank", "3", "--size", "3", "--samples", "5",
-                            "--seed", "1", "--jobs", "1"])
+    loaded = _loaded_after(SERIAL_CENSUS)
     assert "tensorgraphs.sampling" in loaded
     assert "multiprocessing" not in loaded
+
+
+def test_census_loads_no_bubbles_or_topology():
+    # the census takes bubble genera from core's orbit counts
+    loaded = _loaded_after(SERIAL_CENSUS)
+    assert loaded.isdisjoint(["tensorgraphs.bubbles", "tensorgraphs.topology"])
