@@ -21,11 +21,12 @@ and slot h*D + k its k-th slot label, so slot ids ascend in (vertex
 label, position, slot) order.  Faces are the orbits of vertex pairing
 after edge gluing on slot ids; components are orbits on half-edge ids.
 
-Every count on the colored side is an orbit count of the matchings,
-taken by one kernel, ``_orbits``: the {a, b}-faces are the cycles of
-sigma_b^-1 sigma_a on whites, the bubbles of a color set S are the
-orbits on whites of those compositions for b in S, a = min S, and
-connectivity is S = all colors.
+Every count on the colored side is an orbit count of the matchings.
+``_face_steps`` builds every pair's sigma_b^-1 sigma_a on whites,
+inverting each matching at most once; the {a, b}-faces are its cycles,
+counted by a plain walk, ``_cycle_roots``.  The bubbles of a color set
+S are the orbits on whites of those steps for b in S, a = min S, taken
+by ``_orbits``, and connectivity is S = all colors.
 
 Graphs are immutable once built; every operation here is a pure read,
 so values can be shared freely between concurrent tasks.
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -355,10 +356,27 @@ def _groups(labels: list[int]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _face_step(g: ColoredGraph, a: int, b: int) -> list[int]:
-    """sigma_b^-1 sigma_a on whites; its cycles are the {a, b}-faces."""
-    inv_b = _inverse(g.matchings[b])
-    return [inv_b[j] for j in g.matchings[a]]
+def _cycle_roots(perm: Sequence[int]) -> list[int]:
+    """The least point of every cycle of ``perm``, ascending."""
+    seen = [False] * len(perm)
+    roots = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        roots.append(start)
+        i = perm[start]
+        while i != start:
+            seen[i] = True
+            i = perm[i]
+    return roots
+
+
+def _face_steps(g: ColoredGraph) -> dict[tuple[int, int], list[int]]:
+    """sigma_b^-1 sigma_a on whites for every color pair a < b; its cycles
+    are the {a, b}-faces.  Each sigma_b, b >= 1, is inverted once."""
+    inverse = {b: _inverse(g.matchings[b]) for b in g.colors[1:]}
+    return {(a, b): [inverse[b][j] for j in g.matchings[a]]
+            for a, b in itertools.combinations(g.colors, 2)}
 
 
 class _Bubbles(NamedTuple):
@@ -373,15 +391,14 @@ def _bubble_table(g: ColoredGraph, subsets: Iterable[tuple[int, ...]]) -> list[_
     A bubble's blacks are sigma_a of its whites, a = min of the subset,
     and its face count is the number of {x, y}-cycle roots inside it.
     """
-    step = cache(lambda a, b: _face_step(g, a, b))
-    cycle_roots = cache(lambda a, b: [
-        i for i, root in enumerate(_orbits([step(a, b)], g.n)) if i == root])
+    steps = _face_steps(g)
+    roots = {pair: _cycle_roots(step) for pair, step in steps.items()}
     table = []
     for colors in subsets:
-        labels = _orbits([step(colors[0], b) for b in colors[1:]], g.n)
+        labels = _orbits([steps[colors[0], b] for b in colors[1:]], g.n)
         faces = [0] * g.n
-        for x, y in itertools.combinations(colors, 2):
-            for i in cycle_roots(x, y):
+        for pair in itertools.combinations(colors, 2):
+            for i in roots[pair]:
                 faces[labels[i]] += 1
         groups = _groups(labels)
         table.append(_Bubbles(colors, groups, [faces[whites[0]] for whites in groups]))

@@ -15,10 +15,10 @@ parallelism:
 
 ``generator_id`` in reports names this exact recipe so an independent
 implementation can reproduce the numbers.  How the draws are computed
-is not part of it: the n - 1 draws of a shuffle are computed together,
-lane-parallel in one int, and taken modulo their bounds when none of
-them can be rejected; otherwise the shuffle is redone draw by draw.
-Either way they are the draw-by-draw stream.
+is not part of it: all (D+1)(n-1) draws of a graph are computed
+together, lane-parallel in one int, and taken modulo their bounds when
+none of them can be rejected; otherwise the whole graph is redrawn draw
+by draw.  Either way they are the draw-by-draw stream.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
-from .core import ColoredGraph, _bubble_genus, _connected, _face_step, _orbits
+from .core import ColoredGraph, _bubble_genus, _connected, _cycle_roots, _face_steps, _orbits
 from .errors import AttemptsExhausted, BadParameters
 
 GENERATOR_ID = "splitmix64/fisher-yates/v1"
@@ -85,61 +85,55 @@ def _block(k: int) -> _Draws:
     once in one int whose lane t, bits 128t..128t+63, holds the t-th
     state.  Every shift is masked to the lanes and every lane times a
     64-bit constant is below 2**128, so no bit crosses from one lane to
-    another.  Lanes are packed and read as pairs of little-endian 8-byte
-    words (``struct`` standard sizes, "<Q"), the same on every platform.
+    another.  Lanes are packed and read as a little-endian 8-byte word
+    and 8 bytes of padding each (``struct`` standard sizes, "<Q8x"), the
+    same on every platform.
     """
-    layout = struct.Struct(f"<{2 * k}Q")
+    layout = struct.Struct("<" + "Q8x" * k)
 
-    def packed(values: Iterable[int]) -> int:
-        words = [0] * (2 * k)
-        words[::2] = values
-        return int.from_bytes(layout.pack(*words), "little")
+    def packed(values: list[int] | range) -> int:
+        return int.from_bytes(layout.pack(*values), "little")
 
     lanes, ones = packed([_MASK] * k), packed([1] * k)
     steps = packed(range(1, k + 1)) * _GOLDEN & lanes
 
     def draws(state: int) -> tuple[int, ...]:
         z = _mix64(((state & _MASK) * ones + steps) & lanes, lanes)
-        return layout.unpack(z.to_bytes(16 * k, "little"))[::2]
+        return layout.unpack(z.to_bytes(16 * k, "little"))
 
     return draws
 
 
-def _shuffled(n: int, rng: SplitMix64, draws: _Draws) -> tuple[int, ...]:
-    """Descending-index Fisher-Yates over ``draws = _block(n - 1)``.
+def _sampler(rank: int, n: int) -> Callable[[int], ColoredGraph]:
+    """The graph at a seed, from parts shared by every graph of one size.
 
-    ``below(b)`` rejects only outputs of at least 2**64 - (2**64 mod b),
-    which is more than 2**64 - n for every bound b <= n.  So when no
-    draw of the block exceeds 2**64 - n, none is rejected and draw t is
-    taken modulo its bound as it is; otherwise the shuffle is redone
-    draw by draw from the state it started at.
+    Color c shuffles by descending-index Fisher-Yates with outputs
+    c(n-1)..(c+1)(n-1)-1 of the stream at the seed, so all draws of a
+    graph are one ``_block``.  ``below(b)`` rejects only outputs of at
+    least 2**64 - (2**64 mod b), which is more than 2**64 - n for every
+    bound b <= n.  So when no draw of the block exceeds 2**64 - n, none
+    is rejected and each is taken modulo its bound as it is; otherwise
+    the whole graph is redrawn draw by draw from its seed.
     """
-    state = rng._state
-    block = draws(state)
-    bounds = range(n, 1, -1)
-    if max(block, default=0) <= (1 << 64) - n:
-        rng._state = (state + (n - 1) * _GOLDEN) & _MASK
-        picks = map(operator.mod, block, bounds)
-    else:
-        picks = map(rng.below, bounds)
-    values = list(range(n))
-    for i, j in zip(range(n - 1, 0, -1), picks):
-        values[i], values[j] = values[j], values[i]
-    return tuple(values)
+    draws = _block((rank + 1) * (n - 1))
+    bounds = tuple(range(n, 1, -1)) * (rank + 1)
+    whites, blacks = tuple(f"w{i}" for i in range(n)), tuple(f"b{i}" for i in range(n))
 
+    def draw(seed: int) -> ColoredGraph:
+        block = draws(seed)
+        if max(block, default=0) <= (1 << 64) - n:
+            picks = map(operator.mod, block, bounds)
+        else:
+            picks = map(SplitMix64(seed).below, bounds)
+        matchings = []
+        for _ in range(rank + 1):
+            values = list(range(n))
+            for i, j in zip(range(n - 1, 0, -1), picks):
+                values[i], values[j] = values[j], values[i]
+            matchings.append(tuple(values))
+        return ColoredGraph(rank, whites, blacks, tuple(matchings))
 
-def _labels(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    return tuple(f"w{i}" for i in range(n)), tuple(f"b{i}" for i in range(n))
-
-
-def _draw_graph(
-    rank: int, seed: int, draws: _Draws, whites: tuple[str, ...], blacks: tuple[str, ...],
-) -> ColoredGraph:
-    """The graph at ``seed``, from parts shared by every graph of one
-    size: ``draws = _block(n - 1)`` and the vertex labels."""
-    rng = SplitMix64(seed)
-    matchings = tuple(_shuffled(len(whites), rng, draws) for _ in range(rank + 1))
-    return ColoredGraph(rank, whites, blacks, matchings)
+    return draw
 
 
 def _check_params(rank: int, n: int, seed: int) -> None:
@@ -159,7 +153,7 @@ def random_colored(rank: int, n: int, seed: int) -> ColoredGraph:
     seed) always yields the same graph, on any platform.
     """
     _check_params(rank, n, seed)
-    return _draw_graph(rank, seed, _block(n - 1), *_labels(n))
+    return _sampler(rank, n)(seed)
 
 
 def random_connected(rank: int, n: int, seed: int, max_attempts: int = 100) -> ColoredGraph:
@@ -172,8 +166,9 @@ def random_connected(rank: int, n: int, seed: int, max_attempts: int = 100) -> C
     _check_params(rank, n, seed)
     if max_attempts < 1:
         raise BadParameters(f"max_attempts must be >= 1, got {max_attempts}")
+    draw = _sampler(rank, n)
     for attempt in range(max_attempts):
-        g = random_colored(rank, n, subseed(seed, attempt))
+        g = draw(subseed(seed, attempt))
         if _connected(g):
             return g
     raise AttemptsExhausted(
@@ -205,15 +200,15 @@ class CensusReport:
 
 
 def _sample_stats(g: ColoredGraph) -> tuple[int, tuple[int, ...], bool]:
-    """Faces, bubble genera and connectivity of one graph, as counts
-    over orbit labels: the {a, b}-faces are the distinct orbit labels of
-    sigma_b^-1 sigma_a, and a bubble's F counts the faces of its three
-    color pairs whose labels fall in it.  A triple that is one bubble
-    holds every face of its pairs and makes the graph connected; only
-    when no triple is one bubble are all colors' orbits taken."""
+    """Faces, bubble genera and connectivity of one graph, as counts:
+    the {a, b}-faces are the cycle roots of sigma_b^-1 sigma_a, and a
+    bubble's F counts the faces of its three color pairs whose roots
+    fall in it.  A triple that is one bubble holds every face of its
+    pairs and makes the graph connected; only when no triple is one
+    bubble are all colors' orbits taken."""
     n = g.n
-    steps = {pair: _face_step(g, *pair) for pair in itertools.combinations(g.colors, 2)}
-    faces = {pair: set(_orbits([step], n)) for pair, step in steps.items()}
+    steps = _face_steps(g)
+    faces = {pair: _cycle_roots(step) for pair, step in steps.items()}
     genera = []
     connected = False
     for colors in itertools.combinations(g.colors, 3):
@@ -235,12 +230,12 @@ def _census_part(args: tuple[int, int, int, range]) -> tuple[int, Counter, Count
     """Totals over the samples at ``indices``: faces, samples by bubble
     count, bubbles by genus, and connected samples."""
     rank, n, seed, indices = args
-    draws, (whites, blacks) = _block(n - 1), _labels(n)
+    draw = _sampler(rank, n)
     faces = connected = 0
     bubble_counts: Counter = Counter()
     genus_hist: Counter = Counter()
     for j in indices:
-        f, genera, c = _sample_stats(_draw_graph(rank, subseed(seed, j), draws, whites, blacks))
+        f, genera, c = _sample_stats(draw(subseed(seed, j)))
         faces += f
         bubble_counts[len(genera)] += 1
         genus_hist.update(genera)

@@ -4,9 +4,9 @@ Faces of a stranded graph are the closed strand circuits: orbits of
 vertex pairing after edge gluing, walked on slot ids numbered in vertex
 label order (see ``core``).  For colored graphs the same circuits appear
 as the connected components of two-color subgraphs, which are even
-alternating cycles: the {a, b}-faces are the orbits of sigma_b^-1
-sigma_a on whites, counted by the orbit kernel in ``core``.  Both routes
-are implemented and must agree.
+alternating cycles: the {a, b}-faces are the cycles of sigma_b^-1
+sigma_a on whites, counted by ``core._cycle_roots``.  Both routes are
+implemented and must agree.
 
 Each kind of face has one walk, a private generator of integer ids:
 ``_strand_circuits`` yields slot ids and ``_colored_face_walks`` white
@@ -17,12 +17,12 @@ them directly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
 from .core import (
-    ColoredEdge, ColoredGraph, StrandSlot, StrandedGraph, _face_step, _orbits, _slot_labels)
+    ColoredEdge, ColoredGraph, StrandSlot, StrandedGraph, _cycle_roots, _face_steps,
+    _slot_labels)
 from .errors import BadParameters, Disconnected, NegativeGenus, OddEuler
 
 
@@ -94,8 +94,7 @@ def _colored_face_walks(g: ColoredGraph) -> Iterator[tuple[int, int, list[int]]]
     through white indices ``whites``, from its least, stepping by
     sigma_b^-1 sigma_a.  Its edges are the color-a edge at whites[t]
     followed by the color-b edge at whites[t + 1], cyclically."""
-    for a, b in itertools.combinations(g.colors, 2):
-        step = _face_step(g, a, b)
+    for (a, b), step in _face_steps(g).items():
         seen = bytearray(g.n)
         for start in range(g.n):
             if seen[start]:
@@ -127,16 +126,13 @@ def bicolored_faces(g: ColoredGraph) -> FaceSet:
 
 
 def pair_cycle_count(g: ColoredGraph, a: int, b: int) -> int:
-    """Number of {a, b}-cycles, counted as orbits without walking them."""
-    labels = _orbits([_face_step(g, a, b)], g.n)
-    return sum(1 for i, root in enumerate(labels) if i == root)
+    """Number of {a, b}-cycles of two distinct colors, without building them."""
+    return len(_cycle_roots(_face_steps(g)[min(a, b), max(a, b)]))
 
 
 def bicolored_face_count(g: ColoredGraph) -> int:
     """Face count without materializing cycles; agrees with bicolored_faces."""
-    return sum(
-        pair_cycle_count(g, a, b) for a, b in itertools.combinations(g.colors, 2)
-    )
+    return sum(len(_cycle_roots(step)) for step in _face_steps(g).values())
 
 
 def euler_characteristic(v: int, e: int, f: int) -> int:

@@ -2,15 +2,22 @@ import math
 import multiprocessing
 import os
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tensorgraphs import (
     GENERATOR_ID,
+    ColoredGraph,
     SplitMix64,
+    bicolored_face_count,
+    bubble_ribbon,
     census,
     components,
+    enumerate_bubbles,
     random_colored,
     random_connected,
     sampling,
@@ -30,6 +37,20 @@ SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
 REJECTING_SEED = 0x31628AF67B2131AB
 CENSUS_REJECTING_SEED = 0x1FDB84807C8BC327
 
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def rejecting_at(t):
+    """A seed whose stream output t is 2**64 - 1: output 0 at REJECTING_SEED."""
+    return (REJECTING_SEED - t * GOLDEN) % 2**64
+
+
+# At rank 3 and n = 3, output n - 1 = 2 is color 1's first draw, so the
+# rejection shifts the draws of colors 1, 2 and 3 by one.  Sample 0 of a
+# census at CENSUS_MIDDLE_REJECTING_SEED is drawn at MIDDLE_REJECTING_SEED.
+MIDDLE_REJECTING_SEED = rejecting_at(2)
+CENSUS_MIDDLE_REJECTING_SEED = 0xACAE99EC7306F6E6
+
 
 def splitmix64_reference(seed, count):
     """Independent restatement of the generator, kept deliberately naive."""
@@ -43,6 +64,24 @@ def splitmix64_reference(seed, count):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return out
+
+
+def naive_matchings(rank, n, seed):
+    """Draw-by-draw Fisher-Yates on the reference stream, colors ascending,
+    each bounded draw taken by rejection."""
+    stream = iter(splitmix64_reference(seed, (rank + 1) * n + 8))
+    matchings = []
+    for _ in range(rank + 1):
+        values = list(range(n))
+        for i in range(n - 1, 0, -1):
+            limit = 2**64 - 2**64 % (i + 1)
+            r = next(stream)
+            while r >= limit:
+                r = next(stream)
+            j = r % (i + 1)
+            values[i], values[j] = values[j], values[i]
+        matchings.append(tuple(values))
+    return tuple(matchings)
 
 
 class TestGenerator:
@@ -76,6 +115,8 @@ class TestGenerator:
         rng = SplitMix64(REJECTING_SEED)
         assert rng.next_u64() == 2**64 - 1
         assert subseed(CENSUS_REJECTING_SEED, 0) == REJECTING_SEED
+        assert splitmix64_reference(MIDDLE_REJECTING_SEED, 3)[2] == 2**64 - 1
+        assert subseed(CENSUS_MIDDLE_REJECTING_SEED, 0) == MIDDLE_REJECTING_SEED
 
 
 class TestRandomColored:
@@ -94,6 +135,13 @@ class TestRandomColored:
         # recorded from the draw-by-draw shuffle
         g = random_colored(2, 3, REJECTING_SEED)
         assert g.matchings == ((2, 0, 1), (2, 1, 0), (0, 1, 2))
+
+    @settings(max_examples=150)
+    @given(st.integers(2, 5), st.integers(1, 60),
+           st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 400).map(rejecting_at)))
+    @example(3, 3, MIDDLE_REJECTING_SEED)
+    def test_matches_naive_recipe(self, rank, n, seed):
+        assert random_colored(rank, n, seed).matchings == naive_matchings(rank, n, seed)
 
     def test_frozen_draws_for_seed7(self):
         # pins the documented draw order: colors ascending, one
@@ -210,6 +258,23 @@ class TestCensus:
         standard_error = pairs * math.sqrt(h1 - h2) / math.sqrt(samples)
         mean = census(rank, n, samples, seed).mean_faces
         assert abs(float(mean - pairs * h1)) <= 5 * standard_error
+
+    def test_rejecting_sample_matches_naive_recipe(self):
+        # sample 0 rejects a draw in color 1
+        samples, rank, n = 20, 3, 3
+        whites, blacks = tuple(f"w{i}" for i in range(n)), tuple(f"b{i}" for i in range(n))
+        faces, bubbles, genera, connected = 0, Counter(), Counter(), 0
+        for seed in splitmix64_reference(CENSUS_MIDDLE_REJECTING_SEED, samples):
+            g = ColoredGraph(rank, whites, blacks, naive_matchings(rank, n, seed))
+            faces += bicolored_face_count(g)
+            found = enumerate_bubbles(g, 3)
+            bubbles[len(found)] += 1
+            genera.update(bubble_ribbon(b).genus for b in found)
+            connected += len(components(g, set(g.colors))) == 1
+        report = census(rank, n, samples, CENSUS_MIDDLE_REJECTING_SEED)
+        assert (report.mean_faces, report.bubble_count_distribution,
+                report.genus_histogram, report.connected_fraction) == (
+            Fraction(faces, samples), bubbles, genera, Fraction(connected, samples))
 
     def test_memory_does_not_grow_with_samples(self):
         def peak(samples):
