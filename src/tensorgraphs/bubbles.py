@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import (
     ColoredEdge, ColoredGraph, _bubble_genus, _bubble_table, _component, build_colored)
@@ -26,18 +25,31 @@ from .errors import BadCardinal
 from .topology import RibbonCounts, bicolored_face_count
 
 
-@dataclass(frozen=True)
-class Bubble:
-    """One connected component of a color-subset subgraph.
-
-    Holds references into the parent graph; use :meth:`detach` for a
-    plain serializable record.
-    """
-
+class _BubbleFields(NamedTuple):
     colors: tuple[int, ...]
     vertices: tuple[str, ...]
     edges: tuple[ColoredEdge, ...]
-    parent: ColoredGraph = field(repr=False, compare=False)
+
+
+class Bubble(_BubbleFields):
+    """One connected component of a color-subset subgraph.
+
+    ``parent``, the graph it lies in, is an attribute and not a field,
+    so equality, hashing, repr and iteration leave it out; use
+    :meth:`detach` for a plain serializable record.
+    """
+
+    def __new__(cls, colors, vertices, edges, parent: ColoredGraph):
+        self = super().__new__(cls, colors, vertices, edges)
+        self.parent = parent
+        return self
+
+    def __getnewargs__(self):
+        return (*self, self.parent)
+
+    def _replace(self, **changes) -> Bubble:
+        parent = changes.pop("parent", self.parent)
+        return Bubble(*super()._replace(**changes), parent)
 
     def detach(self) -> dict:
         """Plain data view, independent of the parent graph."""
@@ -48,8 +60,7 @@ class Bubble:
         }
 
 
-@dataclass(frozen=True)
-class BubbleRecord:
+class BubbleRecord(NamedTuple):
     bubble: Bubble
     v: int
     e: int
@@ -59,8 +70,7 @@ class BubbleRecord:
     planar: bool
 
 
-@dataclass(frozen=True)
-class BubbleCensus:
+class BubbleCensus(NamedTuple):
     records: tuple[BubbleRecord, ...]
     total: int
     planar_count: int

@@ -20,23 +20,30 @@ so identical inputs give identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .core import BLACK, WHITE, ColoredGraph, HalfEdgeRef, StrandedGraph, _inverse, _orbits
 from .errors import TwistedInput, WrongRank
 
 
-@dataclass(frozen=True)
-class SignPattern:
-    """Cyclic corner sign pattern; rank-3 patterns have two + and two -."""
-
+class _SignFields(NamedTuple):
     name: str
     signs: tuple[int, ...]
 
-    def __post_init__(self):
-        if sorted(self.signs) != [-1, -1, 1, 1]:
+
+class SignPattern(_SignFields):
+    """Cyclic corner sign pattern; rank-3 patterns have two + and two -."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, signs: tuple[int, ...]):
+        if sorted(signs) != [-1, -1, 1, 1]:
             raise ValueError("rank-3 sign patterns need exactly two + and two -")
+        return super().__new__(cls, name, signs)
+
+    @classmethod
+    def _make(cls, fields) -> SignPattern:  # so _replace validates too
+        return cls(*fields)
 
     def rotated(self, position: int, rotation: int) -> int:
         return self.signs[(position + rotation) % len(self.signs)]
@@ -63,8 +70,7 @@ BLOCK = SignPattern("block", (1, 1, -1, -1))
 PATTERNS = {p.name: p for p in (ALTERNATING, BLOCK)}
 
 
-@dataclass(frozen=True)
-class SignAssignment:
+class SignAssignment(NamedTuple):
     """Corner signs witnessing multi-orientability.
 
     At each vertex the signs along the cyclic half-edge order are the
@@ -77,8 +83,7 @@ class SignAssignment:
     rotations: Mapping[str, int]
 
 
-@dataclass(frozen=True)
-class MoObstruction:
+class MoObstruction(NamedTuple):
     """Certificate that no signing exists under a period-two pattern.
 
     ``cycle`` holds the edge indices of a closed walk from ``vertex``, the
@@ -93,15 +98,13 @@ class MoObstruction:
     cycle: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MoResult:
+class MoResult(NamedTuple):
     admissible: bool
     assignment: SignAssignment | None
     obstruction: MoObstruction | None
 
 
-@dataclass(frozen=True)
-class ColorabilityResult:
+class ColorabilityResult(NamedTuple):
     colorable: bool
     witness: ColoredGraph | None
     obstruction: str | None

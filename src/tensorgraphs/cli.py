@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import __version__
 from .errors import (
@@ -46,10 +46,8 @@ PROPERTY_ERRORS = (Disconnected, OddEuler, NegativeGenus, TwistedInput,
                    AttemptsExhausted)
 
 
-@dataclass(frozen=True)
-class CommandResult:
-    exit_code: int
-    report: str
+# collections.namedtuple, not typing.NamedTuple: ``--version`` imports no typing
+CommandResult = namedtuple("CommandResult", ["exit_code", "report"])
 
 
 def _json_report(payload: dict) -> str:
@@ -97,10 +95,7 @@ def _cmd_validate(args) -> CommandResult:
         return CommandResult(1, f"invalid: {type(err).__name__}: {err}")
     if isinstance(g, ColoredGraph):
         report = validate_colored(g)
-        violations = [
-            {"rule": v.rule, "element": v.element, "message": v.message}
-            for v in report.violations
-        ]
+        violations = [v._asdict() for v in report.violations]
         valid = report.valid
     else:
         violations = []
@@ -181,31 +176,22 @@ def _cmd_dual(args) -> CommandResult:
     from .dual import complex_euler, dual_counts
     g = _require_colored(_load(args.file), "dual")
     counts = dual_counts(g)
-    euler = complex_euler(counts)
-    payload = {
-        "tetrahedra": counts.tetrahedra,
-        "triangles": counts.triangles,
-        "segments": counts.segments,
-        "points": counts.points,
-        "euler": euler,
-    }
+    payload = {**counts._asdict(), "euler": complex_euler(counts)}
     if args.json:
         return CommandResult(0, _json_report(payload))
-    return CommandResult(0, (
-        f"tetrahedra={counts.tetrahedra} triangles={counts.triangles} "
-        f"segments={counts.segments} points={counts.points} euler={euler}"))
+    return CommandResult(0, " ".join(f"{key}={value}" for key, value in payload.items()))
 
 
 def _cmd_check_colorable(args) -> CommandResult:
     from .checks import colorability
-    from .formats import serialize_graph
+    from .formats import _document
     s = _as_stranded(_load(args.file))
     result = colorability(s)
     if result.colorable:
         assert result.witness is not None
-        doc = json.loads(serialize_graph(result.witness))
         if args.json:
-            return CommandResult(0, _json_report({"colorable": True, "witness": doc}))
+            return CommandResult(0, _json_report({"colorable": True,
+                                                  "witness": _document(result.witness)}))
         return CommandResult(0, (
             "colorable\n"
             f"  whites: {' '.join(result.witness.whites)}\n"
@@ -273,18 +259,15 @@ def _cmd_random(args) -> CommandResult:
 
 
 def _census_payload(report: CensusReport) -> dict:
+    """The report's fields in order, fractions and histogram keys as strings."""
     return {
-        "samples": report.samples,
-        "rank": report.rank,
-        "n": report.n,
-        "seed": report.seed,
+        **report._asdict(),
         "mean_faces": str(report.mean_faces),
         "bubble_count_distribution": {str(k): v for k, v in
                                       report.bubble_count_distribution.items()},
         "genus_histogram": {str(k): v for k, v in report.genus_histogram.items()},
         "planar_fraction": str(report.planar_fraction),
         "connected_fraction": str(report.connected_fraction),
-        "generator_id": report.generator_id,
     }
 
 

@@ -28,14 +28,16 @@ counted by a plain walk, ``_cycle_roots``.  The bubbles of a color set
 S are the orbits on whites of those steps for b in S, a = min S, taken
 by ``_orbits``, and connectivity is S = all colors.
 
-Graphs are immutable once built; every operation here is a pure read,
-so values can be shared freely between concurrent tasks.
+Records are ``typing.NamedTuple``s; the graphs subclass one of their
+fields so that their cached indices have an instance dict.  Graphs are
+immutable once built; every operation here is a pure read, so values
+can be shared freely between concurrent tasks.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import defaultdict
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -78,33 +80,31 @@ class StrandSlot(NamedTuple):
     slot: int
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str
     element: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     violations: tuple[Violation, ...]
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     vertices: tuple[str, ...]
     edges: tuple[ColoredEdge, ...]
 
 
-@dataclass(frozen=True)
-class ColoredGraph:
-    """Bipartite rank-D tensor graph, one perfect matching per color."""
-
+class _ColoredFields(NamedTuple):
     rank: int
     whites: tuple[str, ...]
     blacks: tuple[str, ...]
     matchings: tuple[tuple[int, ...], ...]
+
+
+class ColoredGraph(_ColoredFields):
+    """Bipartite rank-D tensor graph, one perfect matching per color."""
 
     @property
     def n(self) -> int:
@@ -145,14 +145,12 @@ class ColoredGraph:
                 yield ColoredEdge(c, self.whites[i], self.blacks[sigma[i]])
 
 
-@dataclass(frozen=True)
-class StrandedVertex:
+class StrandedVertex(NamedTuple):
     label: str
     halfedges: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class StrandedEdge:
+class StrandedEdge(NamedTuple):
     halfedges: tuple[str, str]
     permutation: tuple[int, ...]
 
@@ -164,13 +162,14 @@ class _StrandIndex(NamedTuple):
     glue: list[int]  # slot involution of the strand permutations
 
 
-@dataclass(frozen=True)
-class StrandedGraph:
-    """Closed stranded graph: vertices with cyclic half-edges, glued edges."""
-
+class _StrandedFields(NamedTuple):
     rank: int
     vertices: tuple[StrandedVertex, ...]
     edges: tuple[StrandedEdge, ...]
+
+
+class StrandedGraph(_StrandedFields):
+    """Closed stranded graph: vertices with cyclic half-edges, glued edges."""
 
     @cached_property
     def halfedge_refs(self) -> dict[str, HalfEdgeRef]:
@@ -245,11 +244,13 @@ def build_colored(
             raise BadParameters(f"vertex label {label!r} declared twice")
         seen.add(label)
     n = len(whites)
+    # rows are made per color met, and sparse (None where unset) for a list too
+    # short to fill them, so memory follows the edge list and never rank alone
+    short = len(edges) < (rank + 1) * n
     widx = {label: i for i, label in enumerate(whites)}
     bidx = {label: i for i, label in enumerate(blacks)}
 
-    rows: list[list[int | None]] = [[None] * n for _ in range(rank + 1)]
-    black_seen: list[set[int]] = [set() for _ in range(rank + 1)]
+    rows: dict[int, tuple[list[int | None], set[int]]] = {}  # color -> (row, blacks hit)
     for color, white, black in edges:
         if not 0 <= color <= rank:
             raise ColorOutOfRange(f"color {color} outside 0..{rank} on edge ({white!r}, {black!r})")
@@ -258,18 +259,21 @@ def build_colored(
         if black not in bidx:
             raise UnknownNode(f"edge of color {color} references unknown black {black!r}")
         i, j = widx[white], bidx[black]
-        if rows[color][i] is not None:
+        row, black_seen = rows.get(color) or rows.setdefault(
+            color, (defaultdict(type(None)) if short else [None] * n, set()))
+        if row[i] is not None:
             raise DuplicateColorAtVertex(f"color {color} repeated at white {white!r}")
-        if j in black_seen[color]:
+        if j in black_seen:
             raise DuplicateColorAtVertex(f"color {color} repeated at black {black!r}")
-        rows[color][i] = j
-        black_seen[color].add(j)
-    for color in range(rank + 1):
-        for i in range(n):
-            if rows[color][i] is None:
-                raise MissingColorAtVertex(f"white {whites[i]!r} has no edge of color {color}")
-    matchings = tuple(tuple(row) for row in rows)  # type: ignore[arg-type]
-    return ColoredGraph(rank, whites, blacks, matchings)
+        row[i] = j
+        black_seen.add(j)
+    if short:
+        color, i = next((c, i) for c in itertools.count() for i in range(n)
+                        if c not in rows or rows[c][0][i] is None)
+        raise MissingColorAtVertex(f"white {whites[i]!r} has no edge of color {color}")
+    # (rank + 1) * n or more edges on distinct (color, white) slots fill every slot
+    matchings = tuple(tuple(rows[c][0]) for c in range(rank + 1)) if n else ((),) * (rank + 1)
+    return ColoredGraph(rank, whites, blacks, matchings)  # type: ignore[arg-type]
 
 
 def validate_colored(g: ColoredGraph) -> ValidationReport:
@@ -505,7 +509,8 @@ def build_stranded(
 
     used: set[str] = set()
     built_edges = []
-    ident = identity_permutation(rank)
+    # built only under a half-edge: a vertex has rank + 1 of them, so the document bounds rank
+    ident = identity_permutation(rank) if declared else ()
     for ends, perm in edges:
         h1, h2 = ends
         for h in (h1, h2):

@@ -8,15 +8,14 @@ to a point.  Only the f-vector is produced, not the gluing itself.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import ColoredGraph, _bubble_table
 from .errors import WrongRank
 from .topology import bicolored_face_count
 
 
-@dataclass(frozen=True)
-class DualComplexCounts:
+class DualComplexCounts(NamedTuple):
     tetrahedra: int
     triangles: int
     segments: int

@@ -73,6 +73,10 @@ def parse_graph(document: bytes | str) -> ColoredGraph | StrandedGraph:
         obj = json.loads(document)
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid JSON: {err.msg}", f"line {err.lineno} column {err.colno}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", "document") from None
+    except ValueError as err:  # an integer longer than sys.get_int_max_str_digits()
+        raise ParseError(f"invalid JSON: {err}", "document") from None
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object", "document")
 
@@ -130,15 +134,10 @@ def parse_graph(document: bytes | str) -> ColoredGraph | StrandedGraph:
     return build_stranded(rank, vertices, edges)
 
 
-def _dump(obj: dict) -> bytes:
-    # insertion order is the canonical key order
-    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
-
-
-def serialize_graph(g: ColoredGraph | StrandedGraph) -> bytes:
-    """Canonical document bytes; parse(serialize(g)) == g."""
+def _document(g: ColoredGraph | StrandedGraph) -> dict:
+    """The document of ``g``; insertion order is the canonical key order."""
     if isinstance(g, ColoredGraph):
-        return _dump({
+        return {
             "format": COLORED_FORMAT,
             "version": FORMAT_VERSION,
             "rank": g.rank,
@@ -148,7 +147,7 @@ def serialize_graph(g: ColoredGraph | StrandedGraph) -> bytes:
                 {"color": e.color, "white": e.white, "black": e.black}
                 for e in g.edges()
             ],
-        })
+        }
     ident = identity_permutation(g.rank)
     edges = []
     for e in g.edges:
@@ -156,7 +155,7 @@ def serialize_graph(g: ColoredGraph | StrandedGraph) -> bytes:
         if e.permutation != ident:
             entry["strand_permutation"] = list(e.permutation)
         edges.append(entry)
-    return _dump({
+    return {
         "format": STRANDED_FORMAT,
         "version": FORMAT_VERSION,
         "rank": g.rank,
@@ -164,7 +163,12 @@ def serialize_graph(g: ColoredGraph | StrandedGraph) -> bytes:
             {"id": v.label, "halfedges": list(v.halfedges)} for v in g.vertices
         ],
         "edges": edges,
-    })
+    }
+
+
+def serialize_graph(g: ColoredGraph | StrandedGraph) -> bytes:
+    """Canonical document bytes; parse(serialize(g)) == g."""
+    return (json.dumps(_document(g), indent=2) + "\n").encode("utf-8")
 
 
 def _quote(label: str) -> str:

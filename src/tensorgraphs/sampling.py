@@ -28,9 +28,8 @@ import operator
 import os
 import struct
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import ColoredGraph, _bubble_genus, _connected, _cycle_roots, _face_steps, _orbits
 from .errors import AttemptsExhausted, BadParameters
@@ -176,8 +175,7 @@ def random_connected(rank: int, n: int, seed: int, max_attempts: int = 100) -> C
         f"(rank {rank}, n {n}, seed {seed})", max_attempts)
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Aggregate invariants of a seeded ensemble.
 
     ``bubble_count_distribution`` maps per-sample bubble totals to how

@@ -17,8 +17,7 @@ them directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import (
     ColoredEdge, ColoredGraph, StrandSlot, StrandedGraph, _cycle_roots, _face_steps,
@@ -26,8 +25,7 @@ from .core import (
 from .errors import BadParameters, Disconnected, NegativeGenus, OddEuler
 
 
-@dataclass(frozen=True)
-class FaceSet:
+class FaceSet(NamedTuple):
     """Faces as disjoint cycles covering every slot (or two-color edge).
 
     Stranded cycles are tuples of :class:`StrandSlot`; colored cycles are
@@ -38,8 +36,7 @@ class FaceSet:
     count: int
 
 
-@dataclass(frozen=True)
-class RibbonCounts:
+class RibbonCounts(NamedTuple):
     """Vertex, edge, and face counts of a ribbon graph with chi = V - E + F.
 
     ``genus`` is present only when the counts came with connectivity

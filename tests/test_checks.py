@@ -107,6 +107,8 @@ class TestMoAdmissibility:
     def test_bad_pattern_rejected(self):
         with pytest.raises(ValueError):
             SignPattern("lopsided", (1, 1, 1, -1))
+        with pytest.raises(ValueError):
+            ALTERNATING._replace(signs=(1, 1, 1, 1))
 
 
 class TestColoredWitness:

@@ -58,6 +58,21 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert run(["validate", str(tmp_path / "nope.json")]).exit_code == 2
 
+    def test_deep_nesting_exits_2(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_bytes(b"[" * 200000)
+        result = run(["validate", str(path)])
+        assert (result.exit_code, result.report) == (2, "error: document: invalid JSON: nested too deeply")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter has no integer digit limit")
+    def test_overlong_integer_exits_2(self, tmp_path):
+        path = tmp_path / "digits.json"
+        path.write_bytes(b'{"format": "colored-tensor-graph", "version": 1, "rank": 1'
+                         + b"0" * 4999 + b', "whites": [], "blacks": [], "edges": []}')
+        result = run(["validate", str(path)])
+        assert result.exit_code == 2 and "digits" in result.report
+
     def test_stranded_valid(self, corpus):
         assert run(["validate", corpus["tadpoleA.json"]]).exit_code == 0
 

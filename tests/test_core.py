@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,12 @@ from tensorgraphs import (
     ColoredGraph,
     build_colored,
     build_stranded,
+    census,
+    colorability,
     components,
+    enumerate_bubbles,
+    mo_admissibility,
+    random_colored,
     to_stranded,
     validate_colored,
 )
@@ -236,3 +243,40 @@ class TestBuildStranded:
                 3,
                 [("v", ["h0", "h1", "h2", "h3"])],
                 [(("h0", "zz"), None)])
+
+
+class TestRecords:
+    """Records are NamedTuples: immutable, and the graphs keep their
+    cached indices through copies."""
+
+    def test_fields_cannot_be_assigned(self, quad):
+        s = to_stranded(quad)
+        for record, field in [(quad, "rank"), (s, "edges"), (s.vertices[0], "label"),
+                              (validate_colored(quad), "valid"),
+                              (mo_admissibility(s), "admissible"),
+                              (colorability(s), "witness"),
+                              (census(3, 2, 3, 1), "samples")]:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    def test_bubble_identity_ignores_parent(self, quad):
+        bubble = enumerate_bubbles(quad)[0]
+        other = bubble._replace(parent=random_colored(3, 2, 1))
+        assert other.parent is not quad and bubble.parent is quad
+        assert other == bubble and hash(other) == hash(bubble)
+        assert repr(other) == repr(bubble) and "parent" not in repr(bubble)
+        assert tuple(bubble) == (bubble.colors, bubble.vertices, bubble.edges)
+        assert bubble._replace(colors=(0, 1, 3)).parent is quad
+
+    def test_pickle_round_trip(self, quad):
+        s = to_stranded(quad)
+        assert quad.white_index and s._index  # fill the caches before copying
+        bubble = enumerate_bubbles(quad)[0]
+        for value in (quad, random_colored(3, 4, 2), s, census(3, 3, 5, 2), bubble):
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value and type(copy) is type(value)
+        g = pickle.loads(pickle.dumps(quad))
+        assert (g.white_index, g.black_index) == (quad.white_index, quad.black_index)
+        copy = pickle.loads(pickle.dumps(s))
+        assert copy._index == s._index and copy.halfedge_refs == s.halfedge_refs
+        assert pickle.loads(pickle.dumps(bubble)).parent == quad

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,21 @@ class TestParse:
             parse_graph(doc_bytes(bad))
         assert "color 2" in str(err.value)
         assert "w1" in str(err.value)
+
+    @pytest.mark.parametrize("document", [
+        {"format": "colored-tensor-graph", "whites": [], "blacks": [], "edges": []},
+        {"format": "stranded-tensor-graph", "vertices": [], "edges": []},
+    ], ids=["colored", "stranded"])
+    def test_large_rank_allocates_little(self, document):
+        # a ~100-byte document: rank alone must not size an allocation
+        data = doc_bytes(dict(document, version=1, rank=100000))
+        tracemalloc.start()
+        try:
+            g = parse_graph(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.rank == 100000 and peak < 1_000_000
 
     def test_non_object_top_level(self):
         with pytest.raises(ParseError):

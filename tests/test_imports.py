@@ -51,7 +51,7 @@ def _loaded_after(argv: list[str]) -> set[str]:
     src = str(Path(tensorgraphs.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", LOADED, *argv], capture_output=True,
                          check=True, timeout=60, env={**os.environ, "PYTHONPATH": src}).stdout
-    code, modules = json.loads(out)
+    code, modules = json.loads(out.splitlines()[-1])  # after any report argparse prints
     assert code == 0
     return set(modules)
 
@@ -120,3 +120,18 @@ def test_census_loads_no_bubbles_or_topology():
     # the census takes bubble genera from core's orbit counts
     loaded = _loaded_after(SERIAL_CENSUS)
     assert loaded.isdisjoint(["tensorgraphs.bubbles", "tensorgraphs.topology"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"], ["validate", "{}"], ["faces", "{}", "--json"], ["bubbles", "{}", "--json"],
+    ["dual", "{}", "--json"], ["check", "mo", "{}", "--json"],
+    ["check", "colorable", "{}", "--json"], SERIAL_CENSUS,
+    ["random", "--rank", "3", "--size", "5", "--seed", "1"],
+], ids=["version", "validate", "faces", "bubbles", "dual", "check-mo", "check-colorable",
+        "census", "random"])
+def test_commands_load_no_dataclasses_or_inspect(tmp_path, argv):
+    # records are NamedTuples; dataclasses would pull in inspect, ast and dis
+    path = tmp_path / "colored.json"
+    path.write_bytes(serialize_graph(random_colored(3, 5, 1)))
+    loaded = _loaded_after([arg.format(path) for arg in argv])
+    assert loaded.isdisjoint(["dataclasses", "inspect"])
