@@ -8,21 +8,27 @@ Three properties are decided, each with a constructive witness:
 - colorability: edges can be colored so every vertex sees each color
   once in cyclically consecutive order, with a white/black bipartition.
 
-Both decisions take linear time, with no search.  Under the
-alternating pattern multi-orientability is a parity 2-coloring of the
-vertices by rotation, and a negative answer carries an odd closed walk
-as its certificate; under the block pattern every untwisted graph is
-signed by construction.  Colorability propagates a forced color
-reading from each component's least label.  Witnesses are
-lexicographically least (vertices in label order, choices ascending),
-so identical inputs give identical outputs.
+Both decisions label a voltage graph (Gross-Tucker): each edge carries
+a group element that forces its far end's label from its near end's,
+and labels exist iff no closed walk has nontrivial net voltage.
+``_propagate`` labels each component breadth first from its least
+vertex and stops at the first edge whose ends disagree, returning the
+closed walk there.  Alternating multi-orientability labels rotations
+in Z2, and that walk is its certificate; under the block pattern every
+untwisted graph is signed by construction.  Colorability labels
+(orientation, offset, side); its reasons come in a fixed order: a
+self-loop, an edge no reading fits, readings that disagree, and only
+then an odd cycle.  Witnesses are lexicographically least (vertices in
+label order, choices ascending), so identical inputs give identical
+outputs.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from operator import xor
+from typing import Iterator, Mapping, NamedTuple
 
-from .core import BLACK, WHITE, ColoredGraph, HalfEdgeRef, StrandedGraph, _inverse, _orbits
+from .core import WHITE, ColoredGraph, HalfEdgeRef, StrandedGraph, _inverse, _orbits
 from .errors import TwistedInput, WrongRank
 
 
@@ -126,8 +132,9 @@ def mo_admissibility(s: StrandedGraph, pattern: SignPattern = ALTERNATING) -> Mo
     Under a period-two pattern (s, -s, s, -s) position p of a vertex with
     rotation r reads s * (-1)^(p+r), so an edge from half-edge id h1 to h2
     (ids are 4i + position) joins + to - iff r_u xor r_v = (h1 + h2 + 1)
-    mod 2: a parity 2-coloring of the vertices, forced from rotation 0 at
-    each component's least label.  Any other pattern signs opposite
+    mod 2: a voltage graph on Z2, labelled from rotation 0 at each
+    component's least label, whose first closed walk of odd net parity
+    is the obstruction's ``cycle``.  Any other pattern signs opposite
     corners oppositely, so its sign classes are the orbits of
     x -> other[x] xor 2 and never conflict; vertices in label order each
     take the least rotation agreeing with the classes fixed so far.  Either
@@ -142,11 +149,20 @@ def mo_admissibility(s: StrandedGraph, pattern: SignPattern = ALTERNATING) -> Mo
     if not ok:
         raise TwistedInput(f"edges {list(offenders)} carry twists")
 
-    order = s._index.order
+    order, ends = s._index.order, s._index.ends
     if pattern.signs[0] == pattern.signs[2]:
-        rot, obstruction = _forced_rotations(s, pattern)
-        if obstruction is not None:
-            return MoResult(False, None, obstruction)
+        steps: list[list[tuple[int, int, int]]] = [[] for _ in order]  # (vertex, parity, edge)
+        for e, (h1, h2) in enumerate(ends):
+            steps[h1 // 4].append((h2 // 4, (h1 + h2 + 1) & 1, e))
+            steps[h2 // 4].append((h1 // 4, (h1 + h2 + 1) & 1, e))
+        rot, stop = _propagate(steps, 0, xor)
+        if stop is not None:
+            root, _u, _v, e, walk = stop
+            h = ends[e][0]
+            signed = ["+" if pattern.rotated(h % 4, rot[h // 4] ^ r) > 0 else "-" for r in (0, 1)]
+            conflicts = tuple((r, s.edges[e].halfedges, f"both ends signed {sign}")
+                              for r, sign in enumerate(signed))
+            return MoResult(False, None, MoObstruction(order[root], conflicts, walk))
     else:
         # opposite corners lie in opposite classes, so a rotation is fixed by its
         # signs at positions 0 and 1; all four pairs occur, so one always fits
@@ -169,44 +185,35 @@ def mo_admissibility(s: StrandedGraph, pattern: SignPattern = ALTERNATING) -> Mo
     return MoResult(True, SignAssignment(signs, pattern, rotations), None)
 
 
-def _forced_rotations(s: StrandedGraph, pattern: SignPattern
-                      ) -> tuple[list[int], MoObstruction | None]:
-    """Rotations forced by edge parities from rotation 0 at each
-    component's least label, or the obstruction at the first edge that
-    contradicts them."""
-    order, ends = s._index.order, s._index.ends
-    steps: list[list[tuple[int, int, int]]] = [[] for _ in order]  # (vertex, parity, edge)
-    for e, (h1, h2) in enumerate(ends):
-        steps[h1 // 4].append((h2 // 4, (h1 + h2 + 1) & 1, e))
-        steps[h2 // 4].append((h1 // 4, (h1 + h2 + 1) & 1, e))
-    rot = [-1] * len(order)
-    via: list[tuple[int, int] | None] = [None] * len(order)  # tree (parent, edge)
+def _propagate(steps, start, compose):
+    """Label a voltage graph breadth first from ``start`` at each
+    component's least vertex; a step (v, voltage, edge) of u forces v to
+    ``compose(label of u, voltage)``.  Returns (labels, None), or at the
+    first edge whose ends disagree (labels so far, (root, u, v, edge,
+    walk)), ``walk`` being the edges of the closed walk down the tree to
+    u, across the edge and back up from v."""
+    labels: list = [None] * len(steps)
+    via: list[tuple[int, int] | None] = [None] * len(steps)  # tree (parent, edge)
 
-    def up(u: int) -> list[int]:
-        path = []
+    def up(u: int) -> Iterator[int]:  # tree edges from u to the root
         while via[u] is not None:
             u, e = via[u]
-            path.append(e)
-        return path
+            yield e
 
-    for root in range(len(order)):
-        if rot[root] >= 0:
+    for root in range(len(steps)):
+        if labels[root] is not None:
             continue
-        rot[root] = 0
+        labels[root] = start
         queue = [root]
         for u in queue:
-            for v, parity, e in steps[u]:
-                if rot[v] < 0:
-                    rot[v], via[v] = rot[u] ^ parity, (u, e)
+            for v, voltage, e in steps[u]:
+                forced = compose(labels[u], voltage)
+                if labels[v] is None:
+                    labels[v], via[v] = forced, (u, e)
                     queue.append(v)
-                elif rot[v] != rot[u] ^ parity:
-                    h = ends[e][0]
-                    signed = [pattern.rotated(h % 4, rot[h // 4] ^ r) for r in (0, 1)]
-                    conflicts = tuple((r, s.edges[e].halfedges,
-                                       f"both ends signed {'+' if sign > 0 else '-'}")
-                                      for r, sign in enumerate(signed))
-                    return rot, MoObstruction(order[root], conflicts, (*up(u)[::-1], e, *up(v)))
-    return rot, None
+                elif labels[v] != forced:
+                    return labels, (root, u, v, e, (*list(up(u))[::-1], e, *up(v)))
+    return labels, None
 
 
 def verify_sign_assignment(s: StrandedGraph, assignment: SignAssignment) -> bool:
@@ -232,14 +239,9 @@ def colored_mo_witness(g: ColoredGraph) -> SignAssignment:
     """
     if g.rank != 3:
         raise WrongRank(f"multi-orientability is defined for rank 3, got rank {g.rank}")
-    signs: dict[HalfEdgeRef, int] = {}
-    rotations: dict[str, int] = {}
-    for label, parity in g.nodes():
-        white = parity == WHITE
-        rotations[label] = 0 if white else 1
-        for c in g.colors:
-            plus = (c % 2 == 0) if white else (c % 2 == 1)
-            signs[HalfEdgeRef(label, c)] = 1 if plus else -1
+    rotations = {label: 0 if parity == WHITE else 1 for label, parity in g.nodes()}
+    signs = {HalfEdgeRef(label, c): ALTERNATING.rotated(c, r)
+             for label, r in rotations.items() for c in g.colors}
     return SignAssignment(signs, ALTERNATING, rotations)
 
 
@@ -251,12 +253,17 @@ def colorability(s: StrandedGraph) -> ColorabilityResult:
     drawing direction): position p has color (offset + orientation * p)
     mod (D+1).  An edge maps one end's positions onto the other's by
     tau (position to position, slot to glued slot); colors agree along
-    it iff tau^-1(x) = t + s*x and the far reading is (orientation * s,
-    offset + orientation * t).  Relabelling colors by such a map keeps
-    a coloring one, so each component's least label reads (1, 0) and one
-    traversal forces the rest: the least coloring, vertices in label
-    order.  It also splits white from black, the least label of each
-    component white, and every edge must join white to black.
+    it iff tau^-1(x) = t + s*x.  Then (t, s) is the edge's voltage: the
+    far end reads (orientation * s, offset + orientation * t) and lies on
+    the other side, since every edge joins white to black.  Relabelling
+    colors by such a map keeps a coloring one, so each component's least
+    label reads (1, 0) and is white, and ``_propagate`` forces the rest:
+    the least coloring, vertices in label order.
+
+    Negative answers give the first reason in this order: a self-loop; an
+    edge whose tau is not affine; any two readings that disagree; only
+    then an odd cycle, named by the ends of its closing edge.  So a
+    stopped pass is rechecked on the readings alone before that.
 
     The returned witness validates, and its stranded expansion has the
     same (vertex, position) edge structure as the input.
@@ -264,64 +271,51 @@ def colorability(s: StrandedGraph) -> ColorabilityResult:
     m = s.rank + 1
     order, ends = s._index.order, s._index.ends
 
-    # self-loops can never join a positive to a negative vertex
-    for h1, h2 in ends:
-        if h1 // m == h2 // m:
-            return ColorabilityResult(
-                False, None,
-                f"edge joins two half-edges of vertex {order[h1 // m]!r}; "
-                "an edge must join a white to a black vertex")
+    loop = next((h1 // m for h1, h2 in ends if h1 // m == h2 // m), None)
+    if loop is not None:
+        return ColorabilityResult(False, None, "edge joins two half-edges of vertex "
+                                  f"{order[loop]!r}; an edge must join a white to a black vertex")
     no_coloring = ColorabilityResult(
         False, None, "no edge coloring reads cyclically consecutive colors at every vertex")
 
-    # per vertex: (neighbour, t, s), the neighbour reading at x the color read here at t + s*x
-    steps: list[list[tuple[int, int, int]]] = [[] for _ in order]
-    for e, (h1, h2) in zip(s.edges, ends):
+    # per vertex: (neighbour, (t, s), edge), where it reads at x the color read here at t + s*x
+    steps: list[list[tuple[int, tuple[int, int], int]]] = [[] for _ in order]
+    for e, (edge, (h1, h2)) in enumerate(zip(s.edges, ends)):
         u, p, v, q = h1 // m, h1 % m, h2 // m, h2 % m
         tau = [0] * m
         tau[p] = q
-        for k, j in enumerate(e.permutation):  # slot labels skip the own position
+        for k, j in enumerate(edge.permutation):  # slot labels skip the own position
             tau[k + (k >= p)] = j + (j >= q)
         t = tau.index(0)
         sign = 1 if tau[(t + 1) % m] == 1 else -1
         if any(tau[(t + sign * x) % m] != x for x in range(m)):
             return no_coloring
-        steps[u].append((v, t, sign))
-        steps[v].append((u, -sign * t % m, sign))
+        steps[u].append((v, (t, sign), e))
+        steps[v].append((u, (-sign * t % m, sign), e))
 
-    reading: list[tuple[int, int] | None] = [None] * len(order)
-    parity: list[str] = [WHITE] * len(order)
-    odd_cycle = None
-    for root in range(len(order)):
-        if reading[root] is not None:
-            continue
-        reading[root] = (1, 0)
-        stack = [root]
-        while stack:
-            cur = stack.pop()
-            orient, offset = reading[cur]
-            side = BLACK if parity[cur] == WHITE else WHITE
-            for nxt, t, sign in steps[cur]:
-                forced = (orient * sign, (offset + orient * t) % m)
-                if reading[nxt] is None:
-                    reading[nxt], parity[nxt] = forced, side
-                    stack.append(nxt)
-                elif reading[nxt] != forced:
-                    return no_coloring
-                elif parity[nxt] != side and odd_cycle is None:
-                    odd_cycle = (f"odd cycle through {order[cur]!r} and {order[nxt]!r}: no "
-                                 "white/black bipartition exists")
-    if odd_cycle is not None:
-        return ColorabilityResult(False, None, odd_cycle)
+    def compose(label, voltage):  # the far end's reading, on the other side
+        orient, offset, black = label
+        t, sign = voltage
+        return orient * sign, (offset + orient * t) % m, not black
 
-    whites = [i for i, side in enumerate(parity) if side == WHITE]
-    blacks = [i for i, side in enumerate(parity) if side == BLACK]
+    labels, stop = _propagate(steps, (1, 0, False), compose)
+    if stop is not None:
+        _labels, clash = _propagate(steps, (1, 0, False),
+                                    lambda label, voltage: (*compose(label, voltage)[:2], False))
+        if clash is not None:
+            return no_coloring
+        _root, u, v, _e, _walk = stop
+        return ColorabilityResult(False, None, f"odd cycle through {order[u]!r} and {order[v]!r}: "
+                                  "no white/black bipartition exists")
+
+    whites = [i for i, label in enumerate(labels) if not label[2]]
+    blacks = [i for i, label in enumerate(labels) if label[2]]
     place = {i: j for members in (whites, blacks) for j, i in enumerate(members)}
     rows: list[list[int]] = [[-1] * len(whites) for _ in range(m)]
     for h1, h2 in ends:
         u, p, v = h1 // m, h1 % m, h2 // m
-        orient, offset = reading[u]
-        w, b = (u, v) if parity[u] == WHITE else (v, u)
+        orient, offset, black = labels[u]
+        w, b = (v, u) if black else (u, v)
         rows[(offset + orient * p) % m][place[w]] = place[b]
     witness = ColoredGraph(s.rank, tuple(order[i] for i in whites),
                            tuple(order[i] for i in blacks), tuple(tuple(row) for row in rows))

@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple
 from .core import (
     ColoredEdge, ColoredGraph, StrandSlot, StrandedGraph, _cycle_roots, _face_steps,
     _slot_labels)
-from .errors import BadParameters, Disconnected, NegativeGenus, OddEuler
+from .errors import BadParameters, ColorOutOfRange, Disconnected, NegativeGenus, OddEuler
 
 
 class FaceSet(NamedTuple):
@@ -124,6 +124,10 @@ def bicolored_faces(g: ColoredGraph) -> FaceSet:
 
 def pair_cycle_count(g: ColoredGraph, a: int, b: int) -> int:
     """Number of {a, b}-cycles of two distinct colors, without building them."""
+    if not (0 <= a <= g.rank and 0 <= b <= g.rank):
+        raise ColorOutOfRange(f"color pair ({a}, {b}) outside 0..{g.rank}")
+    if a == b:
+        raise BadParameters(f"a color pair needs two distinct colors, got {a} twice")
     return len(_cycle_roots(_face_steps(g)[min(a, b), max(a, b)]))
 
 

@@ -1,10 +1,12 @@
 import itertools
 import json
 import random
+import re
 import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorgraphs import (
     ALTERNATING,
@@ -26,6 +28,7 @@ from tensorgraphs import (
     validate_colored,
     verify_sign_assignment,
 )
+from tensorgraphs.checks import _propagate
 from tensorgraphs.cli import run
 from tensorgraphs.errors import TwistedInput, WrongRank
 from tensorgraphs.sampling import random_colored, subseed
@@ -200,6 +203,40 @@ class TestColorability:
         assert colorability(s) == colorability(s)
 
 
+@st.composite
+def voltage_graphs(draw):
+    """(k, n, edges): edge (u, v, w) carries voltage w in Z_k from u to v;
+    self-loops and parallel edges allowed."""
+    k, n = draw(st.integers(2, 5)), draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    return k, n, draw(st.lists(st.tuples(vertex, vertex, st.integers(0, k - 1)), max_size=10))
+
+
+class TestPropagate:
+    @settings(max_examples=300, deadline=None)
+    @given(voltage_graphs())
+    def test_labels_hold_or_walk_has_nonzero_voltage(self, graph):
+        k, n, edges = graph
+        steps = [[] for _ in range(n)]
+        for e, (u, v, w) in enumerate(edges):
+            steps[u].append((v, w, e))
+            steps[v].append((u, -w % k, e))
+        labels, stop = _propagate(steps, 0, lambda a, b: (a + b) % k)
+        if stop is None:
+            assert all(labels[v] == (labels[u] + w) % k for u, v, w in edges)
+            return
+        root, u, v, edge, walk = stop
+        assert {u, v} == set(edges[edge][:2])
+        assert edge in walk
+        at, net = root, 0
+        for e in walk:
+            a, b, w = edges[e]
+            assert at in (a, b)
+            at, net = (b, net + w) if at == a else (a, net - w)
+        assert at == root
+        assert net % k != 0
+
+
 class TestInclusion:
     def test_colored_graphs_are_mo_admissible(self):
         for i in range(10):
@@ -346,12 +383,13 @@ def _first_signing(s, pattern):
 def _first_coloring(s):
     """The colored graph read off the least (orientation, offset) per
     vertex in label order, with the least white/black split, by
-    enumeration; None when either does not exist or an edge is a loop."""
+    enumeration.  Otherwise the first reason there is none, in the order
+    ``colorability`` gives them: "loop", "no reading" or "no bipartition"."""
     m = s.rank + 1
     order = sorted(v.label for v in s.vertices)
     ends = _ends(s)
     if any(r1.vertex == r2.vertex for r1, r2 in ends):
-        return None
+        return "loop"
     glued = []
     for e, (r1, r2) in zip(s.edges, ends):
         mine = [k for k in range(m) if k != r1.position]
@@ -369,18 +407,28 @@ def _first_coloring(s):
                for u, v, pairs in glued for p, q in pairs):
             break
     else:
-        return None
+        return "no reading"
     for bits in itertools.product((0, 1), repeat=len(order)):
         side = dict(zip(order, bits))
         if all(side[r1.vertex] != side[r2.vertex] for r1, r2 in ends):
             break
     else:
-        return None
+        return "no bipartition"
     return build_colored(
         s.rank, [v for v in order if side[v] == 0], [v for v in order if side[v] == 1],
         [(color(read[r1.vertex], r1.position),
           *((r1.vertex, r2.vertex) if side[r1.vertex] == 0 else (r2.vertex, r1.vertex)))
          for r1, r2 in ends])
+
+
+def _reason(obstruction):
+    """The oracle's name for a ``colorability`` obstruction message."""
+    for start, reason in (("edge joins two half-edges", "loop"),
+                          ("no edge coloring", "no reading"),
+                          ("odd cycle through", "no bipartition")):
+        if obstruction.startswith(start):
+            return reason
+    raise AssertionError(obstruction)
 
 
 class TestBruteForceOracle:
@@ -418,8 +466,13 @@ class TestBruteForceOracle:
             expected = _first_coloring(s)
             result = colorability(s)
             outcomes.add(result.colorable)
-            if expected is None:
+            if isinstance(expected, str):
                 assert not result.colorable
+                assert _reason(result.obstruction) == expected
+                odd = re.match(r"odd cycle through '(.+)' and '(.+)': ", result.obstruction)
+                if odd:
+                    assert any({r1.vertex, r2.vertex} == set(odd.groups())
+                               for r1, r2 in _ends(s))
             else:
                 assert result.colorable
                 assert result.witness == expected

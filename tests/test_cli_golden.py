@@ -220,7 +220,7 @@ DECISION_GOLDEN = {
     ("melonic", "check-mo-block"):
         "0ccf3aa2906a557a720db345b5da40e00314e542afe561ad6b0b1e6817713dc3",
     ("odd-cycle", "check-colorable"):
-        "6b5d4b8bc24d0423649cbfd821a0d6ccd83947b60482056adeb3e4ea8a16e831",
+        "ceb52e80fc84378d354b3bff7eb890bed56ebce974c8b9d232a07a528b84cd2e",
     ("pairing", "check-colorable"):
         "27a6bae3e8bf5488ce655f3ac6071a6a9381d8b2015ebcedeeefef160cda56cc",
     ("pairing", "check-mo"):

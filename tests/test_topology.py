@@ -20,7 +20,13 @@ from tensorgraphs import (
     to_stranded,
     trace_faces,
 )
-from tensorgraphs.errors import BadParameters, Disconnected, NegativeGenus, OddEuler
+from tensorgraphs.errors import (
+    BadParameters,
+    ColorOutOfRange,
+    Disconnected,
+    NegativeGenus,
+    OddEuler,
+)
 from tensorgraphs.sampling import random_colored, subseed
 
 from .test_checks import _small_stranded
@@ -228,6 +234,12 @@ class TestBicoloredFaces:
         assert by_pair[frozenset({2, 3})] == 2
         for a, b in [(0, 2), (0, 3), (1, 2), (1, 3)]:
             assert by_pair[frozenset({a, b})] == 1
+
+    @pytest.mark.parametrize("a, b, error", [
+        (0, 0, BadParameters), (0, 9, ColorOutOfRange), (-1, 2, ColorOutOfRange)])
+    def test_pair_cycle_count_rejects_bad_pairs(self, genus_one_graph, a, b, error):
+        with pytest.raises(error):
+            pair_cycle_count(genus_one_graph, a, b)
 
     def test_three_cycle_construction(self, genus_one_graph):
         g = genus_one_graph
