@@ -145,11 +145,11 @@ def mo_admissibility(s: StrandedGraph, pattern: SignPattern = ALTERNATING) -> Mo
     """
     if s.rank != 3:
         raise WrongRank(f"multi-orientability is defined for rank 3, got rank {s.rank}")
+    order, ends = s._index.order, s._index.ends  # a malformed graph raises here, before its twists
     ok, offenders = is_untwisted(s)
     if not ok:
         raise TwistedInput(f"edges {list(offenders)} carry twists")
 
-    order, ends = s._index.order, s._index.ends
     if pattern.signs[0] == pattern.signs[2]:
         steps: list[list[tuple[int, int, int]]] = [[] for _ in order]  # (vertex, parity, edge)
         for e, (h1, h2) in enumerate(ends):

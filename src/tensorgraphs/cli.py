@@ -99,7 +99,7 @@ def _cmd_validate(args) -> CommandResult:
         valid = report.valid
     else:
         violations = []
-        valid = True  # build_stranded already enforced every invariant
+        valid = True  # parsing built the index, which checks every invariant
     if args.json:
         return CommandResult(0 if valid else 1,
                              _json_report({"valid": valid, "violations": violations}))

@@ -20,6 +20,9 @@ i is the i-th label in ascending order, half-edge h = i*(D+1) + position
 and slot h*D + k its k-th slot label, so slot ids ascend in (vertex
 label, position, slot) order.  Faces are the orbits of vertex pairing
 after edge gluing on slot ids; components are orbits on half-edge ids.
+The pass that builds the index is the one place where closure is
+checked, so a ``StrandedGraph`` made with its constructor is checked on
+first use and raises the builder's errors there.
 
 Every count on the colored side is an orbit count of the matchings.
 ``_face_steps`` builds every pair's sigma_b^-1 sigma_a on whites,
@@ -169,7 +172,9 @@ class _StrandedFields(NamedTuple):
 
 
 class StrandedGraph(_StrandedFields):
-    """Closed stranded graph: vertices with cyclic half-edges, glued edges."""
+    """Closed stranded graph: vertices with cyclic half-edges, glued edges.
+    Closure is checked where ``_index`` is built, so a graph made with
+    this constructor, not ``build_stranded``, is checked on first use."""
 
     @cached_property
     def halfedge_refs(self) -> dict[str, HalfEdgeRef]:
@@ -181,18 +186,51 @@ class StrandedGraph(_StrandedFields):
 
     @cached_property
     def _index(self) -> _StrandIndex:
+        """The integer index, built by the one pass that checks closure.  It
+        raises the builder's errors: vertices in declaration order first,
+        then edges in order, then half-edges left in no edge."""
         rank, d = self.rank, self.rank + 1
-        order = tuple(sorted(v.label for v in self.vertices))
-        first = {label: i * d for i, label in enumerate(order)}
-        half = {h: first[v.label] + pos for v in self.vertices for pos, h in enumerate(v.halfedges)}
-        ends = [(half[h1], half[h2]) for h1, h2 in (e.halfedges for e in self.edges)]
-        other = list(range(d * len(order)))
-        glue = list(range(rank * len(other)))
-        for (h1, h2), e in zip(ends, self.edges):
-            other[h1], other[h2] = h2, h1
+        labels = [v.label for v in self.vertices]
+        by_label = sorted(range(len(labels)), key=labels.__getitem__)  # stable: repeats adjoin
+        order = tuple(labels[j] for j in by_label)
+        half: dict[str, int] = {}
+        for v, i in zip(self.vertices, _inverse(by_label)):
+            if i and order[i - 1] == v.label:
+                raise BadParameters(f"vertex label {v.label!r} declared twice")
+            if len(v.halfedges) != d:
+                raise WrongValence(
+                    f"vertex {v.label!r} has {len(v.halfedges)} half-edges, expected {d}")
+            for x, h in enumerate(v.halfedges, i * d):
+                if h in half:
+                    raise BadParameters(f"half-edge label {h!r} declared twice")
+                half[h] = x
+        # sized only now that every vertex holds rank + 1 labels of the graph
+        ends = []
+        other = [-1] * len(half)
+        glue = [0] * (rank * len(half))
+        for e in self.edges:
+            h1, h2 = e.halfedges
+            for h in (h1, h2):
+                if h not in half:
+                    raise BadParameters(f"edge references undeclared half-edge {h!r}")
+            if h1 == h2:
+                raise HalfEdgeReused(f"half-edge {h1!r} used for both ends of one edge")
+            x1, x2 = half[h1], half[h2]
+            for h, x in ((h1, x1), (h2, x2)):
+                if other[x] >= 0:
+                    raise HalfEdgeReused(f"half-edge {h!r} appears in more than one edge")
+            other[x1], other[x2] = x2, x1
+            if sorted(e.permutation) != list(range(rank)):
+                raise BadPermutation(
+                    f"edge ({h1!r}, {h2!r}): {list(e.permutation)} is not a "
+                    f"permutation of 0..{rank - 1}")
             for k, j in enumerate(e.permutation):
-                x, y = h1 * rank + k, h2 * rank + j
+                x, y = x1 * rank + k, x2 * rank + j
                 glue[x], glue[y] = y, x
+            ends.append((x1, x2))
+        if 2 * len(ends) != len(half):
+            names = ", ".join(repr(h) for h in sorted(h for h, x in half.items() if other[x] < 0))
+            raise DanglingHalfEdge(f"half-edges in no edge (open legs): {names}")
         return _StrandIndex(order, ends, other, glue)
 
     def slots(self) -> Iterator[StrandSlot]:
@@ -490,53 +528,13 @@ def build_stranded(
     """
     if rank < 2:
         raise BadParameters(f"rank must be >= 2, got {rank}")
-    vlabels: set[str] = set()
-    declared: set[str] = set()
-    built_vertices = []
-    for label, halfedges in vertices:
-        if label in vlabels:
-            raise BadParameters(f"vertex label {label!r} declared twice")
-        vlabels.add(label)
-        halfedges = tuple(halfedges)
-        if len(halfedges) != rank + 1:
-            raise WrongValence(
-                f"vertex {label!r} has {len(halfedges)} half-edges, expected {rank + 1}")
-        for h in halfedges:
-            if h in declared:
-                raise BadParameters(f"half-edge label {h!r} declared twice")
-            declared.add(h)
-        built_vertices.append(StrandedVertex(label, halfedges))
-
-    used: set[str] = set()
-    built_edges = []
-    # built only under a half-edge: a vertex has rank + 1 of them, so the document bounds rank
-    ident = identity_permutation(rank) if declared else ()
-    for ends, perm in edges:
-        h1, h2 = ends
-        for h in (h1, h2):
-            if h not in declared:
-                raise BadParameters(f"edge references undeclared half-edge {h!r}")
-        if h1 == h2:
-            raise HalfEdgeReused(f"half-edge {h1!r} used for both ends of one edge")
-        for h in (h1, h2):
-            if h in used:
-                raise HalfEdgeReused(f"half-edge {h!r} appears in more than one edge")
-            used.add(h)
-        if perm is None:
-            permutation = ident
-        else:
-            permutation = tuple(perm)
-            if sorted(permutation) != list(range(rank)):
-                raise BadPermutation(
-                    f"edge ({h1!r}, {h2!r}): {list(permutation)} is not a "
-                    f"permutation of 0..{rank - 1}")
-        built_edges.append(StrandedEdge((h1, h2), permutation))
-
-    dangling = declared - used
-    if dangling:
-        names = ", ".join(repr(h) for h in sorted(dangling))
-        raise DanglingHalfEdge(f"half-edges in no edge (open legs): {names}")
-    return StrandedGraph(rank, tuple(built_vertices), tuple(built_edges))
+    built = tuple(StrandedVertex(label, tuple(halfedges)) for label, halfedges in vertices)
+    # built only under a vertex of rank + 1 half-edges, which _index checks before any edge
+    ident = identity_permutation(rank) if built and len(built[0].halfedges) == rank + 1 else ()
+    g = StrandedGraph(rank, built, tuple(
+        StrandedEdge(tuple(ends), ident if perm is None else tuple(perm)) for ends, perm in edges))
+    g._index
+    return g
 
 
 def stranded_components(s: StrandedGraph) -> list[tuple[str, ...]]:

@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,9 @@ from tensorgraphs import (
     BLACK,
     WHITE,
     ColoredGraph,
+    StrandedEdge,
+    StrandedGraph,
+    StrandedVertex,
     build_colored,
     build_stranded,
     census,
@@ -16,7 +20,9 @@ from tensorgraphs import (
     enumerate_bubbles,
     mo_admissibility,
     random_colored,
+    stranded_components,
     to_stranded,
+    trace_faces,
     validate_colored,
 )
 from tensorgraphs.errors import (
@@ -27,6 +33,7 @@ from tensorgraphs.errors import (
     DuplicateColorAtVertex,
     HalfEdgeReused,
     MissingColorAtVertex,
+    TensorGraphError,
     UnequalParts,
     UnknownNode,
     WrongValence,
@@ -199,50 +206,166 @@ class TestToStranded:
         assert set(s1.edges) != set(s2.edges)
 
 
+V = [("v", ["h0", "h1", "h2", "h3"])]
+
+
+def raises_exactly(error, message):
+    return pytest.raises(error, match=f"^{re.escape(message)}$")
+
+
 class TestBuildStranded:
+    """Every builder error with its exact message; on several faults the
+    first in order wins: vertices in declaration order (label, valence,
+    half-edge labels), then edges in order (undeclared end, one half-edge
+    at both ends, reuse, permutation), then dangling half-edges."""
+
     def test_tadpole_a(self, tadpole_a):
         assert len(tadpole_a.vertices) == 1
         assert len(tadpole_a.edges) == 2
         assert tadpole_a.edges[0].permutation == (0, 1, 2)
 
     def test_dangling_half_edge(self):
-        with pytest.raises(DanglingHalfEdge):
+        with raises_exactly(DanglingHalfEdge, "half-edges in no edge (open legs): 'h2', 'h3'"):
             build_stranded(
                 3,
                 [("v", ["h0", "h1", "h2", "h3"])],
                 [(("h0", "h1"), None)])
 
     def test_bad_permutation(self):
-        with pytest.raises(BadPermutation):
+        with raises_exactly(BadPermutation,
+                            "edge ('h0', 'h1'): [0, 0, 1] is not a permutation of 0..2"):
             build_stranded(
                 3,
                 [("v", ["h0", "h1", "h2", "h3"])],
                 [(("h0", "h1"), [0, 0, 1]), (("h2", "h3"), None)])
 
     def test_wrong_valence(self):
-        with pytest.raises(WrongValence):
+        with raises_exactly(WrongValence, "vertex 'v' has 3 half-edges, expected 4"):
             build_stranded(3, [("v", ["h0", "h1", "h2"])], [])
 
     def test_half_edge_reused(self):
-        with pytest.raises(HalfEdgeReused):
+        with raises_exactly(HalfEdgeReused, "half-edge 'h1' appears in more than one edge"):
             build_stranded(
                 3,
                 [("v", ["h0", "h1", "h2", "h3"])],
                 [(("h0", "h1"), None), (("h1", "h2"), None)])
 
     def test_self_paired_half_edge(self):
-        with pytest.raises(HalfEdgeReused):
+        with raises_exactly(HalfEdgeReused, "half-edge 'h0' used for both ends of one edge"):
             build_stranded(
                 3,
                 [("v", ["h0", "h1", "h2", "h3"])],
                 [(("h0", "h0"), None), (("h1", "h2"), None)])
 
     def test_undeclared_half_edge(self):
-        with pytest.raises(BadParameters):
+        with raises_exactly(BadParameters, "edge references undeclared half-edge 'zz'"):
             build_stranded(
                 3,
                 [("v", ["h0", "h1", "h2", "h3"])],
                 [(("h0", "zz"), None)])
+
+    @pytest.mark.parametrize("vertices, message", [
+        ([("v", ["h0", "h1", "h2", "h3"]), ("v", ["h4", "h5", "h6", "h7"])],
+         "vertex label 'v' declared twice"),
+        ([("v", ["h0", "h1", "h2", "h0"])], "half-edge label 'h0' declared twice"),
+        ([("u", ["h0", "h1", "h2", "h3"]), ("v", ["h4", "h1", "h6", "h7"])],
+         "half-edge label 'h1' declared twice"),
+    ])
+    def test_duplicate_label(self, vertices, message):
+        with raises_exactly(BadParameters, message):
+            build_stranded(3, vertices, [])
+
+    @pytest.mark.parametrize("error, message, vertices, edges", [
+        # a repeated half-edge in vertex 1 wins over a wrong valence in vertex 3
+        (BadParameters, "half-edge label 'a1' declared twice",
+         [("a", ["a0", "a1", "a2", "a3"]), ("b", ["b0", "a1", "b2", "b3"]),
+          ("c", ["c0", "c1", "c2", "c3"]), ("d", ["d0"])], []),
+        # a wrong valence in vertex 1 wins over a repeated half-edge in vertex 3
+        (WrongValence, "vertex 'b' has 3 half-edges, expected 4",
+         [("a", ["a0", "a1", "a2", "a3"]), ("b", ["b0", "b1", "b2"]),
+          ("c", ["c0", "c1", "c2", "c3"]), ("d", ["a0", "d1", "d2", "d3"])], []),
+        # a wrong valence in vertex 1 wins over a repeated vertex label in vertex 3
+        (WrongValence, "vertex 'b' has 1 half-edges, expected 4",
+         [("a", ["a0", "a1", "a2", "a3"]), ("b", ["b0"]),
+          ("c", ["c0", "c1", "c2", "c3"]), ("a", ["e0", "e1", "e2", "e3"])], []),
+        # a vertex label is checked before its valence
+        (BadParameters, "vertex label 'v' declared twice",
+         [("v", ["h0", "h1", "h2", "h3"]), ("v", ["x"])], []),
+        # the second declared of two equal labels is named, though both sort first
+        (BadParameters, "vertex label 'a' declared twice",
+         [("b", ["b0", "b1", "b2", "b3"]), ("a", ["a0", "a1", "a2", "a3"]),
+          ("c", ["c0", "c1", "c2", "c3"]), ("a", ["e0", "e1", "e2", "e3"])], []),
+        # any vertex fault wins over every edge fault
+        (WrongValence, "vertex 'b' has 2 half-edges, expected 4",
+         [("a", ["a0", "a1", "a2", "a3"]), ("b", ["b0", "b1"])], [(("a0", "zz"), None)]),
+        # a bad permutation on edge 0 wins over a reused half-edge on edge 1
+        (BadPermutation, "edge ('h0', 'h1'): [3, 1, 2] is not a permutation of 0..2",
+         V, [(("h0", "h1"), [3, 1, 2]), (("h1", "h2"), None)]),
+        # a reused half-edge on edge 1 wins over a bad permutation on edge 2
+        (HalfEdgeReused, "half-edge 'h1' appears in more than one edge",
+         V, [(("h0", "h1"), None), (("h1", "h0"), None), (("h2", "h3"), [0, 0, 0])]),
+        # a reused half-edge on edge 1 wins over an undeclared one on edge 2
+        (HalfEdgeReused, "half-edge 'h0' appears in more than one edge",
+         V, [(("h0", "h1"), None)] * 2 + [(("q", "h2"), None)]),
+        # on one edge: both ends are declared before either is checked for reuse
+        (BadParameters, "edge references undeclared half-edge 'zz'",
+         V, [(("h0", "h1"), None), (("h0", "zz"), None)]),
+        (BadParameters, "edge references undeclared half-edge 'zz'", V, [(("zz", "zz"), [9])]),
+        # ... and one half-edge at both ends is named before reuse
+        (HalfEdgeReused, "half-edge 'h0' used for both ends of one edge",
+         V, [(("h0", "h1"), None), (("h0", "h0"), None)]),
+        # a bad permutation is named by its edge, and may be short
+        (BadPermutation, "edge ('h0', 'h1'): [0, 1] is not a permutation of 0..2",
+         V, [(("h0", "h1"), [0, 1]), (("h2", "h3"), None)]),
+        # every edge fault wins over a dangling half-edge
+        (BadParameters, "edge references undeclared half-edge 'y'",
+         V, [(("h0", "h1"), None), (("y", "z"), None)]),
+        # dangling half-edges are listed sorted, not in declaration order
+        (DanglingHalfEdge, "half-edges in no edge (open legs): 'h0', 'h2'",
+         [("v", ["h3", "h1", "h2", "h0"])], [(("h3", "h1"), None)]),
+        # the rank is checked before everything
+        (BadParameters, "rank must be >= 2, got 1",
+         [("v", ["h0"]), ("v", [])], [(("zz", "zz"), None)]),
+    ])
+    def test_first_fault_wins(self, error, message, vertices, edges):
+        rank = 1 if message.startswith("rank") else 3
+        with raises_exactly(error, message):
+            build_stranded(rank, vertices, edges)
+
+
+class TestDirectConstruction:
+    """A StrandedGraph made with its constructor, bypassing build_stranded,
+    is checked on first use: every stranded entry point raises the
+    builder's own error.  Before the index pass checked closure, the
+    reused case made trace_faces loop forever (this test hung there),
+    mo_admissibility answered it with a witness, the dangling case gave
+    faces, and the undeclared case raised a bare KeyError."""
+
+    @pytest.mark.parametrize("edges", [
+        [(("h0", "zz"), None), (("h2", "h3"), None)],  # undeclared
+        [(("h0", "h1"), None), (("h1", "h2"), None), (("h3", "h0"), None)],  # reused
+        [(("h0", "h1"), None), (("h2", "h2"), None), (("h3", "h3"), None)],  # one end twice
+        [(("h0", "h1"), None)],  # dangling
+        [(("h0", "h1"), (0, 0, 1)), (("h2", "h3"), None)],  # not a permutation
+        [(("h0", "h1"), (0, 1, 2, 3)), (("h2", "h3"), None)],  # too long
+    ])
+    @pytest.mark.parametrize("entry", [trace_faces, stranded_components, mo_admissibility,
+                                       colorability])
+    def test_entry_points_raise_builder_errors(self, entry, edges):
+        with pytest.raises(TensorGraphError) as built:
+            build_stranded(3, V, edges)
+        s = StrandedGraph(3, tuple(StrandedVertex(v, tuple(hs)) for v, hs in V),
+                          tuple(StrandedEdge(ends, perm or (0, 1, 2)) for ends, perm in edges))
+        for _ in range(2):  # nothing half-built is kept after a failure
+            with pytest.raises(type(built.value)) as raised:
+                entry(s)
+            assert str(raised.value) == str(built.value)
+
+    def test_replaced_copy_is_checked(self, tadpole_a):
+        """``_replace`` bypasses the builder too."""
+        s = tadpole_a._replace(edges=(tadpole_a.edges[0],))
+        with raises_exactly(DanglingHalfEdge, "half-edges in no edge (open legs): 'h2', 'h3'"):
+            trace_faces(s)
 
 
 class TestRecords:

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorgraphs import (
     build_stranded,
@@ -10,12 +11,14 @@ from tensorgraphs import (
     parse_graph,
     serialize_graph,
     to_stranded,
+    trace_faces,
 )
 
 from .test_core import colored_graphs
 from tensorgraphs.errors import (
     DuplicateColorAtVertex,
     ParseError,
+    TensorGraphError,
     UnknownFormat,
     VersionUnsupported,
 )
@@ -150,3 +153,86 @@ class TestDot:
     def test_stranded_dot(self, tadpole_a):
         dot = export_dot(tadpole_a).decode()
         assert dot.count("--") == 2
+
+
+@st.composite
+def stranded_documents(draw):
+    """Small valid stranded documents: random closure, some twists, and
+    vertex ids declared out of label order."""
+    rank = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=4))
+    n += n * (rank + 1) % 2  # an even number of half-edges
+    halfedges = [f"h{i}" for i in range(n * (rank + 1))]
+    ids = draw(st.permutations([f"v{i}" for i in range(n)]))
+    ends = draw(st.permutations(halfedges))
+    edges = []
+    for k in range(0, len(ends), 2):
+        edge = {"halfedges": [ends[k], ends[k + 1]]}
+        if draw(st.booleans()):
+            edge["strand_permutation"] = draw(st.permutations(range(rank)))
+        edges.append(edge)
+    return {
+        "format": "stranded-tensor-graph", "version": 1, "rank": rank,
+        "vertices": [{"id": v, "halfedges": halfedges[i * (rank + 1):(i + 1) * (rank + 1)]}
+                     for i, v in enumerate(ids)],
+        "edges": edges,
+    }
+
+
+@st.composite
+def mutated_stranded_documents(draw):
+    """A valid stranded document with exactly one mutation applied."""
+    doc = json.loads(json.dumps(draw(stranded_documents())))
+    vertices, edges = doc["vertices"], doc["edges"]
+    halfedges = [h for v in vertices for h in v["halfedges"]]
+
+    def pick(seq):
+        return seq[draw(st.integers(min_value=0, max_value=len(seq) - 1))]
+
+    kind = draw(st.sampled_from([
+        "drop half-edge", "duplicate half-edge", "rename end", "swap ends",
+        "corrupt permutation", "change rank", "delete field"]))
+    if kind == "drop half-edge":  # from its vertex, or from the edges with its edge
+        target = pick([pick(vertices)["halfedges"], edges])
+        target.remove(pick(target))
+    elif kind == "duplicate half-edge":
+        target = pick(vertices)["halfedges"]
+        target.insert(pick(range(len(target) + 1)), pick(halfedges))
+    elif kind == "rename end":
+        pick(edges)["halfedges"][pick([0, 1])] = pick(["zz", "h0", "h1", "v0"])
+    elif kind == "swap ends":
+        e1, e2 = pick(edges)["halfedges"], pick(edges)["halfedges"]
+        k1, k2 = pick([0, 1]), pick([0, 1])
+        e1[k1], e2[k2] = e2[k2], e1[k1]
+    elif kind == "corrupt permutation":
+        perm = pick(edges).setdefault("strand_permutation", list(range(doc["rank"])))
+        perm[pick(range(len(perm)))] = draw(st.one_of(
+            st.integers(min_value=-2, max_value=doc["rank"] + 1), st.just("0"), st.just(True),
+            st.just(0.5), st.none()))
+    elif kind == "change rank":
+        doc["rank"] += draw(st.sampled_from([-1, 1]))
+    else:
+        owner = pick([doc, pick(vertices), pick(edges)])
+        del owner[pick(sorted(owner))]
+    return doc
+
+
+class TestStrandedMutationFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_stranded_documents())
+    def test_parse_rejects_or_traces_every_slot_once(self, doc):
+        """One mutation of a valid document: parse_graph either raises a
+        TensorGraphError or returns a graph whose faces cover every slot
+        exactly once; nothing else escapes, and nothing hangs."""
+        try:
+            g = parse_graph(doc_bytes(doc))
+        except TensorGraphError:
+            return
+        # a closed graph pairs every half-edge, and every slot, with another:
+        # checked first, since a walk over an open index need not end
+        index = g._index
+        for involution in (index.other, index.glue):
+            assert all(involution[y] == x != y for x, y in enumerate(involution))
+        covered = [slot for face in trace_faces(g).faces for slot in face]
+        assert len(covered) == len(set(covered))
+        assert set(covered) == set(g.slots())

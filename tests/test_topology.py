@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorgraphs import (
@@ -264,6 +264,7 @@ class TestBicoloredFaces:
 
     @settings(max_examples=40)
     @given(colored_graphs())
+    @example(random_colored(6, 40, 11))
     def test_count_matches_composition_oracle(self, g):
         for a, b in itertools.combinations(g.colors, 2):
             assert pair_cycle_count(g, a, b) == composition_cycle_oracle(g, a, b)
