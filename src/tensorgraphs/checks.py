@@ -119,6 +119,7 @@ class ColorabilityResult(NamedTuple):
 def is_untwisted(s: StrandedGraph) -> tuple[bool, tuple[int, ...]]:
     """True plus () iff every strand permutation is the identity;
     otherwise False plus the offending edge indices."""
+    s._index  # a malformed graph raises here, before its twists
     ident = tuple(range(s.rank))
     offenders = tuple(
         i for i, e in enumerate(s.edges) if e.permutation != ident
@@ -145,10 +146,10 @@ def mo_admissibility(s: StrandedGraph, pattern: SignPattern = ALTERNATING) -> Mo
     """
     if s.rank != 3:
         raise WrongRank(f"multi-orientability is defined for rank 3, got rank {s.rank}")
-    order, ends = s._index.order, s._index.ends  # a malformed graph raises here, before its twists
     ok, offenders = is_untwisted(s)
     if not ok:
         raise TwistedInput(f"edges {list(offenders)} carry twists")
+    order, ends = s._index.order, s._index.ends
 
     if pattern.signs[0] == pattern.signs[2]:
         steps: list[list[tuple[int, int, int]]] = [[] for _ in order]  # (vertex, parity, edge)

@@ -207,7 +207,6 @@ class StrandedGraph(_StrandedFields):
         # sized only now that every vertex holds rank + 1 labels of the graph
         ends = []
         other = [-1] * len(half)
-        glue = [0] * (rank * len(half))
         for e in self.edges:
             h1, h2 = e.halfedges
             for h in (h1, h2):
@@ -224,13 +223,16 @@ class StrandedGraph(_StrandedFields):
                 raise BadPermutation(
                     f"edge ({h1!r}, {h2!r}): {list(e.permutation)} is not a "
                     f"permutation of 0..{rank - 1}")
-            for k, j in enumerate(e.permutation):
-                x, y = x1 * rank + k, x2 * rank + j
-                glue[x], glue[y] = y, x
             ends.append((x1, x2))
         if 2 * len(ends) != len(half):
             names = ", ".join(repr(h) for h in sorted(h for h, x in half.items() if other[x] < 0))
             raise DanglingHalfEdge(f"half-edges in no edge (open legs): {names}")
+        # sized only now that every half-edge lies in an edge with rank strands
+        glue = [0] * (rank * len(half))
+        for (x1, x2), e in zip(ends, self.edges):
+            for k, j in enumerate(e.permutation):
+                x, y = x1 * rank + k, x2 * rank + j
+                glue[x], glue[y] = y, x
         return _StrandIndex(order, ends, other, glue)
 
     def slots(self) -> Iterator[StrandSlot]:

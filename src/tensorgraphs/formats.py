@@ -148,6 +148,7 @@ def _document(g: ColoredGraph | StrandedGraph) -> dict:
                 for e in g.edges()
             ],
         }
+    g._index  # a malformed graph raises here, not when its document is read back
     ident = identity_permutation(g.rank)
     edges = []
     for e in g.edges:
@@ -189,16 +190,15 @@ def export_dot(g: ColoredGraph | StrandedGraph) -> bytes:
                 f"  {_quote(e.white)} -- {_quote(e.black)} "
                 f"[color={e.color}, label={e.color}];")
     else:
+        index, d = g._index, g.rank + 1  # a malformed graph raises here
         ident = identity_permutation(g.rank)
         for v in g.vertices:
             lines.append(f"  {_quote(v.label)} [shape=circle];")
-        for e in g.edges:
-            r1 = g.halfedge_refs[e.halfedges[0]]
-            r2 = g.halfedge_refs[e.halfedges[1]]
+        for e, (x1, x2) in zip(g.edges, index.ends):
             label = f"{e.halfedges[0]}/{e.halfedges[1]}"
             if e.permutation != ident:
                 label += " twist " + ",".join(str(k) for k in e.permutation)
-            lines.append(
-                f"  {_quote(r1.vertex)} -- {_quote(r2.vertex)} [label={_quote(label)}];")
+            lines.append(f"  {_quote(index.order[x1 // d])} -- {_quote(index.order[x2 // d])} "
+                         f"[label={_quote(label)}];")
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")

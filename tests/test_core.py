@@ -18,8 +18,11 @@ from tensorgraphs import (
     colorability,
     components,
     enumerate_bubbles,
+    export_dot,
+    is_untwisted,
     mo_admissibility,
     random_colored,
+    serialize_graph,
     stranded_components,
     to_stranded,
     trace_faces,
@@ -339,7 +342,9 @@ class TestDirectConstruction:
     builder's own error.  Before the index pass checked closure, the
     reused case made trace_faces loop forever (this test hung there),
     mo_admissibility answered it with a witness, the dangling case gave
-    faces, and the undeclared case raised a bare KeyError."""
+    faces, the undeclared case raised a bare KeyError (export_dot too),
+    is_untwisted answered every case, and serialize_graph wrote a
+    document that parse_graph rejects."""
 
     @pytest.mark.parametrize("edges", [
         [(("h0", "zz"), None), (("h2", "h3"), None)],  # undeclared
@@ -350,7 +355,7 @@ class TestDirectConstruction:
         [(("h0", "h1"), (0, 1, 2, 3)), (("h2", "h3"), None)],  # too long
     ])
     @pytest.mark.parametrize("entry", [trace_faces, stranded_components, mo_admissibility,
-                                       colorability])
+                                       colorability, is_untwisted, serialize_graph, export_dot])
     def test_entry_points_raise_builder_errors(self, entry, edges):
         with pytest.raises(TensorGraphError) as built:
             build_stranded(3, V, edges)

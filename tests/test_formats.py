@@ -16,6 +16,7 @@ from tensorgraphs import (
 
 from .test_core import colored_graphs
 from tensorgraphs.errors import (
+    DanglingHalfEdge,
     DuplicateColorAtVertex,
     ParseError,
     TensorGraphError,
@@ -90,6 +91,22 @@ class TestParse:
         finally:
             tracemalloc.stop()
         assert g.rank == 100000 and peak < 1_000_000
+
+    def test_large_rank_rejected_before_allocating(self):
+        # one vertex of rank + 1 half-edges and no edge: the strand index
+        # (rank slots per half-edge) must not be sized before closure holds
+        rank = 2001
+        data = doc_bytes({"format": "stranded-tensor-graph", "version": 1, "rank": rank,
+                          "vertices": [{"id": "v", "halfedges": [f"h{i}" for i in range(rank + 1)]}],
+                          "edges": []})
+        tracemalloc.start()
+        try:
+            with pytest.raises(DanglingHalfEdge):
+                parse_graph(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_non_object_top_level(self):
         with pytest.raises(ParseError):
