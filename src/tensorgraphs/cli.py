@@ -48,6 +48,7 @@ PROPERTY_ERRORS = (Disconnected, OddEuler, NegativeGenus, TwistedInput,
 
 # collections.namedtuple, not typing.NamedTuple: ``--version`` imports no typing
 CommandResult = namedtuple("CommandResult", ["exit_code", "report"])
+_SLICE = 1 << 16  # characters of a report that main() writes at a time
 
 
 def _json_report(payload: dict) -> str:
@@ -392,12 +393,14 @@ def run(argv: list[str]) -> CommandResult:
 
 
 def main() -> None:
+    """Run ``sys.argv``; write the report in slices, never encoding all of it at once."""
     result = run(sys.argv[1:])
     if result.report:
         stream = sys.stdout if result.exit_code in (0, 1) else sys.stderr
         try:
-            print(result.report, file=stream)
-            stream.flush()
+            for start in range(0, len(result.report), _SLICE):
+                stream.write(result.report[start:start + _SLICE])
+            print(file=stream, flush=True)
         except BrokenPipeError:
             # The reader closed the pipe early (``| head``): the command still
             # ran, so keep its exit code, and point the stream at devnull so

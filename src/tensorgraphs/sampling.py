@@ -15,10 +15,11 @@ parallelism:
 
 ``generator_id`` in reports names this exact recipe so an independent
 implementation can reproduce the numbers.  How the draws are computed
-is not part of it: all (D+1)(n-1) draws of a graph are computed
-together, lane-parallel in one int, and taken modulo their bounds when
-none of them can be rejected; otherwise the whole graph is redrawn draw
-by draw.  Either way they are the draw-by-draw stream.
+is not part of it: a graph's (D+1)(n-1) draws are computed in chunks
+of a fixed size, lane-parallel in one int, and taken modulo their
+bounds while none of a chunk can be rejected; from the first chunk
+where one can, the rest is drawn draw by draw.  Either way they are the
+draw-by-draw stream.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import os
 import struct
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .core import ColoredGraph, _bubble_genus, _connected, _cycle_roots, _face_steps, _orbits
 from .errors import AttemptsExhausted, BadParameters
@@ -40,6 +41,7 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 _Draws = Callable[[int], tuple[int, ...]]
+_CHUNK = 4096  # draws computed at once: a census graph's (D+1)(n-1) are one chunk
 
 
 def _mix64(z: int, lanes: int = _MASK) -> int:
@@ -107,23 +109,28 @@ def _sampler(rank: int, n: int) -> Callable[[int], ColoredGraph]:
     """The graph at a seed, from parts shared by every graph of one size.
 
     Color c shuffles by descending-index Fisher-Yates with outputs
-    c(n-1)..(c+1)(n-1)-1 of the stream at the seed, so all draws of a
-    graph are one ``_block``.  ``below(b)`` rejects only outputs of at
+    c(n-1)..(c+1)(n-1)-1 of the stream at the seed, taken ``_CHUNK`` at
+    a time as one ``_block``: a chunk starting at output t is the block
+    at state seed + t*golden.  ``below(b)`` rejects only outputs of at
     least 2**64 - (2**64 mod b), which is more than 2**64 - n for every
-    bound b <= n.  So when no draw of the block exceeds 2**64 - n, none
-    is rejected and each is taken modulo its bound as it is; otherwise
-    the whole graph is redrawn draw by draw from its seed.
+    bound b <= n.  So while no draw of a chunk exceeds 2**64 - n, none
+    is rejected and each is taken modulo its bound as it is; from the
+    first chunk where one does, the rest is drawn draw by draw.
     """
-    draws = _block((rank + 1) * (n - 1))
     bounds = tuple(range(n, 1, -1)) * (rank + 1)
+    draws = _block(min(_CHUNK, len(bounds)))
     whites, blacks = tuple(f"w{i}" for i in range(n)), tuple(f"b{i}" for i in range(n))
 
+    def chunks(seed: int, rest: Iterator[int]) -> Iterator[Iterator[int]]:
+        for start in range(seed, seed + len(bounds) * _GOLDEN, _CHUNK * _GOLDEN):
+            block = draws(start)
+            if max(block) > (1 << 64) - n:
+                yield map(SplitMix64(start).below, rest)
+                return
+            yield map(operator.mod, block, rest)  # block first: takes no bound past it
+
     def draw(seed: int) -> ColoredGraph:
-        block = draws(seed)
-        if max(block, default=0) <= (1 << 64) - n:
-            picks = map(operator.mod, block, bounds)
-        else:
-            picks = map(SplitMix64(seed).below, bounds)
+        picks = itertools.chain.from_iterable(chunks(seed, iter(bounds)))
         matchings = []
         for _ in range(rank + 1):
             values = list(range(n))

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from tensorgraphs import cli, parse_graph, serialize_graph, to_stranded
+import tensorgraphs
+from tensorgraphs import cli, parse_graph, random_colored, serialize_graph, to_stranded
 from tensorgraphs.cli import run
 
 from .conftest import make_genus_one, make_quad
@@ -25,6 +28,7 @@ def corpus(tmp_path, dipole, tadpole_a, tadpole_b):
     put("genus_one.json", serialize_graph(make_genus_one()))
     put("tadpoleA.json", serialize_graph(tadpole_a))
     put("tadpoleB.json", serialize_graph(tadpole_b))
+    put("large.json", serialize_graph(random_colored(3, 300, 7)))  # faces --json: 346400 chars
     bad = json.loads(serialize_graph(dipole))
     bad["edges"][3]["color"] = 2
     put("duplicate_color.json", json.dumps(bad).encode())
@@ -269,19 +273,25 @@ class TestExitContract:
         assert result.report == (
             "internal error: RecursionError: maximum recursion depth exceeded")
 
-    @pytest.mark.parametrize("argv, code", [
-        (["faces", "dipole.json", "--json"], 0),
-        (["check", "mo", "tadpoleB.json"], 1),
-    ], ids=["faces-exit-0", "check-mo-exit-1"])
+    @pytest.mark.parametrize("argv, code, room", [
+        (["faces", "dipole.json", "--json"], 0, 0),
+        (["check", "mo", "tadpoleB.json"], 1, 0),
+        (["faces", "large.json", "--json"], 0, cli._SLICE),
+    ], ids=["faces-exit-0", "check-mo-exit-1", "faces-closed-mid-report"])
     def test_closed_stdout_keeps_exit_code(self, corpus, tmp_path, monkeypatch, capsys,
-                                           argv, code):
+                                           argv, code, room):
         """A reader that closes the pipe early (``| head``) gets no traceback,
-        and the command's own exit code survives."""
+        and the command's own exit code survives.  The pipe takes ``room``
+        characters first, so a report longer than one slice is cut in the
+        middle."""
         fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        written = []
 
         class ClosedPipe:
-            def write(self, _text):
-                raise BrokenPipeError(32, "Broken pipe")
+            def write(self, text):
+                if sum(map(len, written)) + len(text) > room:
+                    raise BrokenPipeError(32, "Broken pipe")
+                written.append(text)
 
             def flush(self):
                 raise BrokenPipeError(32, "Broken pipe")
@@ -298,8 +308,26 @@ class TestExitContract:
             assert exit_.value.code == code == run(argv).exit_code
             assert capsys.readouterr().err == ""
             assert os.fstat(fd).st_rdev == os.stat(os.devnull).st_rdev  # later flushes are dropped
+            assert "".join(written) == run(argv).report[:room]
         finally:
             os.close(fd)
+
+    @pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "text"])
+    def test_stdout_is_the_report(self, tmp_path, flags):
+        """A report of several slices reaches stdout whole, with one newline."""
+        labels = [f"\u00e9{i}" for i in range(2000)]  # non-ASCII in the text form
+        g = random_colored(3, 1000, 7)._replace(whites=tuple(labels[:1000]),
+                                                  blacks=tuple(labels[1000:]))
+        path = tmp_path / "large.json"
+        path.write_bytes(serialize_graph(g))
+        argv = ["faces", str(path), *flags]
+        report = run(argv).report
+        assert len(report) > 2 * cli._SLICE
+        src = str(Path(tensorgraphs.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-m", "tensorgraphs.cli", *argv], capture_output=True,
+                             check=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8"})
+        assert out.stdout == (report + "\n").encode() and out.stderr == b""
 
 
 def test_stranded_expansion_document_usable(tmp_path, quad):

@@ -6,7 +6,10 @@ writes the text form from the same objects."""
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,12 +20,15 @@ from tensorgraphs import (
     bicolored_faces,
     bubble_census,
     build_stranded,
+    random_colored,
     serialize_graph,
+    to_stranded,
     trace_faces,
 )
 from tensorgraphs.cli import run
+from tensorgraphs.render import bubbles_report, faces_report
 
-from .test_cli_golden import ESCAPED
+from .test_cli_golden import ESCAPED, _melonic
 
 
 def _labels(draw, count):
@@ -136,3 +142,31 @@ def test_bubbles_match_oracle(g):
 @given(escaped_twisted())
 def test_stranded_faces_match_oracle(s):
     assert _reports(s, "faces") == stranded_faces_oracle(s)
+
+
+def _peak_per_byte(render, g, as_json):
+    """tracemalloc peak of one render, per character of its report."""
+    render(g, as_json)  # fills the interpreter's free lists, which tracemalloc counts
+    tracemalloc.start()
+    try:
+        report = render(g, as_json)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / len(report)
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+@pytest.mark.parametrize("stranded", [False, True], ids=["colored", "stranded"])
+def test_faces_report_holds_little_beyond_itself(stranded, as_json):
+    # one flat list of shared pieces, joined once: about 1.3-2.1 times the
+    # report; a join per nesting level or per face measured 3.5-8.2 times
+    g = random_colored(3, 300, 7)
+    assert _peak_per_byte(faces_report, to_stranded(g) if stranded else g, as_json) <= 2.5
+
+
+def test_bubbles_report_holds_little_beyond_itself():
+    # about 1.4 times the report; a join per nesting level measured 5.4 times.
+    # The text form is not bounded here: the bubble walk alone peaks at
+    # 2.7 times its report, which the renderer cannot change.
+    assert _peak_per_byte(bubbles_report, _melonic(300, 3), True) <= 2.5

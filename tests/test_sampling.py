@@ -143,6 +143,38 @@ class TestRandomColored:
     def test_matches_naive_recipe(self, rank, n, seed):
         assert random_colored(rank, n, seed).matchings == naive_matchings(rank, n, seed)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 7, 12])
+    def test_chunks_are_the_stream(self, monkeypatch, chunk):
+        # 12 draws at rank 3 and n = 4: a rejection in any chunk, or in the
+        # unused lanes past the last draw, still gives the draw-by-draw graph
+        monkeypatch.setattr(sampling, "_CHUNK", chunk)
+        for seed in [0, 1, 42, *map(rejecting_at, range(16))]:
+            assert random_colored(3, 4, seed).matchings == naive_matchings(3, 4, seed), seed
+
+    def test_census_graph_is_one_chunk(self, monkeypatch):
+        # rank 3 and n = 50, as perfbench's census: one block of 196 draws per graph
+        calls = []
+
+        def counting(k, block=sampling._block):
+            draws = block(k)
+            return lambda state: calls.append(k) or draws(state)
+
+        monkeypatch.setattr(sampling, "_block", counting)
+        census(3, 50, 3, 1)
+        assert calls == [196] * 3
+
+    def test_large_graph_peak(self):
+        # the finished graph holds 5.7 MB; all its 79996 draws at once
+        # peaked at 17.5 MB, chunks of sampling._CHUNK draws at 7.8 MB
+        random_colored(3, 50, 5)
+        tracemalloc.start()
+        try:
+            random_colored(3, 20000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
+
     def test_frozen_draws_for_seed7(self):
         # pins the documented draw order: colors ascending, one
         # descending-index shuffle per color
