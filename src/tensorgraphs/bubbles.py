@@ -5,8 +5,9 @@ colors, cardinal three by default.  Presented as a ribbon graph (with
 faces the two-color cycles inside the bubble) it has an Euler
 characteristic and hence a genus.
 
-Bubbles and their faces are orbit counts of the matchings, read from the
-bubble table in ``core``; bubble objects are built only for output.  The
+Bubbles and their faces are orbit counts of the matchings, read a color
+subset at a time from the one pass in ``core``, ``_bubble_table``;
+bubble objects are built only for output.  The
 three-color bubbles have one walk, ``_bubble_records``, which yields each
 in record order as vertex indices and counts: ``bubble_census`` builds
 its records from it, and ``render`` writes the CLI's bubbles report
@@ -20,7 +21,7 @@ from collections import Counter
 from typing import Iterator, NamedTuple
 
 from .core import (
-    ColoredEdge, ColoredGraph, _bubble_genus, _bubble_table, _component, build_colored)
+    ColoredEdge, ColoredGraph, _bubble_genus, _bubble_table, _component, _groups, build_colored)
 from .errors import BadCardinal
 from .topology import RibbonCounts, bicolored_face_count
 
@@ -81,16 +82,15 @@ def _bubble_rows(g: ColoredGraph, k: int) -> Iterator[tuple[tuple[int, ...], lis
     """(colors, white indices, F) of every bubble over the cardinal-k
     color subsets, subsets lexicographic, bubbles by least vertex label.
     A bubble's blacks are sigma_a of its whites, a = min colors."""
-    for row in _bubble_table(g, itertools.combinations(g.colors, k)):
-        sigma = g.matchings[row.colors[0]]
+    for colors, labels, _sizes, faces in _bubble_table(g, itertools.combinations(g.colors, k)):
+        sigma = g.matchings[colors[0]]
 
-        def least(whites_f: tuple[list[int], int]) -> str:
-            whites = whites_f[0]
+        def least(whites: list[int]) -> str:
             return min(min(map(g.whites.__getitem__, whites)),
                        min(map(g.blacks.__getitem__, map(sigma.__getitem__, whites))))
 
-        for whites, f in sorted(zip(row.whites, row.faces), key=least):
-            yield row.colors, whites, f
+        for whites in sorted(_groups(labels), key=least):
+            yield colors, whites, faces[whites[0]]
 
 
 def _bubble(g: ColoredGraph, colors: tuple[int, ...], whites: list[int]) -> Bubble:

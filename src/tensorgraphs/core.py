@@ -29,7 +29,10 @@ Every count on the colored side is an orbit count of the matchings.
 inverting each matching at most once; the {a, b}-faces are its cycles,
 counted by a plain walk, ``_cycle_roots``.  The bubbles of a color set
 S are the orbits on whites of those steps for b in S, a = min S, taken
-by ``_orbits``, and connectivity is S = all colors.
+by ``_orbits``, and connectivity is S = all colors.  ``_bubble_table``
+is the one pass that counts bubbles with their faces, a subset at a
+time.  Each {a, b}-face lies in exactly one bubble of each of the D - 1
+triples that hold a and b, so the triples' face counts sum to (D - 1) F.
 
 Records are ``typing.NamedTuple``s; the graphs subclass one of their
 fields so that their cached indices have an instance dict.  Graphs are
@@ -40,7 +43,7 @@ can be shared freely between concurrent tasks.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -423,30 +426,24 @@ def _face_steps(g: ColoredGraph) -> dict[tuple[int, int], list[int]]:
             for a, b in itertools.combinations(g.colors, 2)}
 
 
-class _Bubbles(NamedTuple):
-    colors: tuple[int, ...]
-    whites: list[list[int]]  # white indices of each bubble, by least white
-    faces: list[int]  # two-color cycles over ``colors`` inside each bubble
-
-
-def _bubble_table(g: ColoredGraph, subsets: Iterable[tuple[int, ...]]) -> list[_Bubbles]:
-    """The bubbles of each non-empty, ascending color subset, as orbits.
-
-    A bubble's blacks are sigma_a of its whites, a = min of the subset,
-    and its face count is the number of {x, y}-cycle roots inside it.
-    """
+def _bubble_table(g: ColoredGraph, subsets: Iterable[tuple[int, ...]]) -> Iterator[tuple]:
+    """(colors, labels, sizes, faces) of each non-empty, ascending color
+    subset, one subset at a time: ``labels`` gives each white the least
+    white of its bubble, and ``sizes`` and ``faces`` map that least white
+    to how many whites and {x, y}-cycle roots, x < y in colors, the bubble
+    holds (faces: 0 where none).  A bubble's blacks are sigma_a of its
+    whites, a = min colors."""
+    n = g.n
     steps = _face_steps(g)
     roots = {pair: _cycle_roots(step) for pair, step in steps.items()}
-    table = []
     for colors in subsets:
-        labels = _orbits([steps[colors[0], b] for b in colors[1:]], g.n)
-        faces = [0] * g.n
-        for pair in itertools.combinations(colors, 2):
-            for i in roots[pair]:
-                faces[labels[i]] += 1
-        groups = _groups(labels)
-        table.append(_Bubbles(colors, groups, [faces[whites[0]] for whites in groups]))
-    return table
+        labels = _orbits([steps[colors[0], b] for b in colors[1:]], n)
+        inside = [roots[pair] for pair in itertools.combinations(colors, 2)]
+        if n and not any(labels):  # one bubble holds every root
+            yield colors, labels, {0: n}, {0: sum(map(len, inside))}
+        else:
+            yield (colors, labels, Counter(labels),
+                   Counter(map(labels.__getitem__, itertools.chain.from_iterable(inside))))
 
 
 def _bubble_genus(colors: tuple[int, ...], v: int, e: int, f: int) -> int:
@@ -471,8 +468,9 @@ def _component(g: ColoredGraph, colors: tuple[int, ...], whites: list[int]) -> C
 
 
 def _connected(g: ColoredGraph) -> bool:
-    """Connectivity: one bubble over all colors."""
-    return len(_bubble_table(g, [tuple(g.colors)])[0].whites) == 1
+    """Connectivity: one orbit on whites of every sigma_b^-1 sigma_0; no faces are counted."""
+    steps = [list(map(_inverse(tau).__getitem__, g.matchings[0])) for tau in g.matchings[1:]]
+    return g.n > 0 and not any(_orbits(steps, g.n))
 
 
 def components(g: ColoredGraph, colors: set[int] | frozenset[int]) -> list[Component]:
@@ -487,8 +485,9 @@ def components(g: ColoredGraph, colors: set[int] | frozenset[int]) -> list[Compo
             raise ColorOutOfRange(f"color {c} outside 0..{g.rank}")
     if not colors:
         return [Component((label,), ()) for label, _parity in g.nodes()]
-    (row,) = _bubble_table(g, [tuple(sorted(colors))])
-    return [_component(g, row.colors, whites) for whites in row.whites]
+    subset = tuple(sorted(colors))
+    labels = next(_bubble_table(g, [subset]))[1]
+    return [_component(g, subset, whites) for whites in _groups(labels)]
 
 
 def to_stranded(g: ColoredGraph) -> StrandedGraph:

@@ -2,7 +2,9 @@
 
 Each graph vertex is dual to a tetrahedron, each edge to a shared
 triangle, each two-color face to a segment, and each three-color bubble
-to a point.  Only the f-vector is produced, not the gluing itself.
+to a point.  Only the f-vector is produced, not the gluing itself:
+points and segments come from one pass of ``core._bubble_table`` over
+the color triples, and segments are their face counts over D - 1 = 2.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from typing import NamedTuple
 
 from .core import ColoredGraph, _bubble_table
 from .errors import WrongRank
-from .topology import bicolored_face_count
 
 
 class DualComplexCounts(NamedTuple):
@@ -30,13 +31,14 @@ def dual_counts(g: ColoredGraph) -> DualComplexCounts:
     """
     if g.rank != 3:
         raise WrongRank(f"dual tetrahedral counts are defined for rank 3, got {g.rank}")
-    return DualComplexCounts(
-        tetrahedra=2 * g.n,
-        triangles=4 * g.n,
-        segments=bicolored_face_count(g),
-        points=sum(len(row.whites)
-                   for row in _bubble_table(g, itertools.combinations(g.colors, 3))),
-    )
+    points = faces = 0
+    for _colors, _labels, sizes, f in _bubble_table(g, itertools.combinations(g.colors, 3)):
+        points += len(sizes)
+        faces += sum(f.values())
+    # each {a, b}-face lies in exactly one bubble of each of the D - 1
+    # triples that hold a and b, so the triples count every face D - 1 times
+    return DualComplexCounts(tetrahedra=2 * g.n, triangles=4 * g.n,
+                             segments=faces // (g.rank - 1), points=points)
 
 
 def complex_euler(c: DualComplexCounts) -> int:

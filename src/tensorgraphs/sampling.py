@@ -20,6 +20,10 @@ of a fixed size, lane-parallel in one int, and taken modulo their
 bounds while none of a chunk can be rejected; from the first chunk
 where one can, the rest is drawn draw by draw.  Either way they are the
 draw-by-draw stream.
+
+A sample's faces, bubble genera and connectivity come from one pass of
+``core._bubble_table`` over the color triples; its face total is the
+triples' face counts over D - 1, since each face lies in D - 1 triples.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
-from .core import ColoredGraph, _bubble_genus, _connected, _cycle_roots, _face_steps, _orbits
+from .core import ColoredGraph, _bubble_genus, _bubble_table, _connected
 from .errors import AttemptsExhausted, BadParameters
 
 GENERATOR_ID = "splitmix64/fisher-yates/v1"
@@ -205,30 +209,18 @@ class CensusReport(NamedTuple):
 
 
 def _sample_stats(g: ColoredGraph) -> tuple[int, tuple[int, ...], bool]:
-    """Faces, bubble genera and connectivity of one graph, as counts:
-    the {a, b}-faces are the cycle roots of sigma_b^-1 sigma_a, and a
-    bubble's F counts the faces of its three color pairs whose roots
-    fall in it.  A triple that is one bubble holds every face of its
-    pairs and makes the graph connected; only when no triple is one
-    bubble are all colors' orbits taken."""
-    n = g.n
-    steps = _face_steps(g)
-    faces = {pair: _cycle_roots(step) for pair, step in steps.items()}
-    genera = []
-    connected = False
-    for colors in itertools.combinations(g.colors, 3):
-        x, y, z = colors
-        labels = _orbits([steps[x, y], steps[x, z]], n)
-        roots = (*faces[x, y], *faces[x, z], *faces[y, z])
-        if max(labels) == 0:
-            sizes, f = {0: n}, {0: len(roots)}
-            connected = True
-        else:
-            sizes, f = Counter(labels), Counter(map(labels.__getitem__, roots))
+    """Faces, bubble genera and connectivity of one graph, as counts, from
+    one pass over the color triples.  A triple that is one bubble makes
+    the graph connected; only when no triple is one are all colors'
+    orbits taken."""
+    faces, genera, connected = 0, [], False
+    for colors, _labels, sizes, f in _bubble_table(g, itertools.combinations(g.colors, 3)):
+        faces += sum(f.values())
+        connected = connected or len(sizes) == 1
         genera.extend(_bubble_genus(colors, 2 * w, 3 * w, f[root]) for root, w in sizes.items())
-    if not connected:
-        connected = max(_orbits([steps[0, b] for b in g.colors[1:]], n)) == 0
-    return sum(map(len, faces.values())), tuple(genera), connected
+    # each {a, b}-face lies in exactly one bubble of each of the D - 1
+    # triples that hold a and b, so the triples count every face D - 1 times
+    return faces // (g.rank - 1), tuple(genera), connected or _connected(g)
 
 
 def _census_part(args: tuple[int, int, int, range]) -> tuple[int, Counter, Counter, int]:

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorgraphs import (
     ColoredEdge,
@@ -10,8 +11,10 @@ from tensorgraphs import (
     bicolored_faces,
     bubble_census,
     bubble_ribbon,
+    bubbles,
     build_colored,
     components,
+    core,
     dual_counts,
     enumerate_bubbles,
     sampling,
@@ -225,13 +228,24 @@ class TestCountsOnlyPaths:
     @settings(max_examples=60)
     @given(colored_graphs())
     def test_dual_points_count_bubbles(self, g):
-        assert dual_counts(g).points == len(enumerate_bubbles(g, 3))
+        counts = dual_counts(g)
+        assert counts.points == len(enumerate_bubbles(g, 3))
+        assert counts.segments == bicolored_faces(g).count
 
+    @pytest.mark.parametrize("rank", [2, 3, 4])
     @settings(max_examples=60)
-    @given(colored_graphs())
-    def test_census_sample_matches_ribbons(self, g):
+    @given(data=st.data())
+    def test_census_sample_matches_ribbons(self, rank, data):
+        g = data.draw(colored_graphs(rank=rank))
         faces, genera, connected = sampling._sample_stats(g)
         ribbons = [bubble_ribbon(b).genus for b in enumerate_bubbles(g, 3)]
         assert sorted(genera) == sorted(ribbons)
         assert faces == bicolored_face_count(g)
         assert connected == (len(components(g, set(g.colors))) == 1)
+
+    def test_bubble_walk_takes_one_triple_at_a_time(self, quad, monkeypatch):
+        calls = []
+        orbits = core._orbits
+        monkeypatch.setattr(core, "_orbits", lambda perms, n: calls.append(n) or orbits(perms, n))
+        next(bubbles._bubble_records(quad))
+        assert len(calls) == 1

@@ -12,11 +12,14 @@ from tensorgraphs import (
     StrandedEdge,
     StrandedGraph,
     StrandedVertex,
+    bubble_census,
     build_colored,
     build_stranded,
     census,
     colorability,
     components,
+    core,
+    dual_counts,
     enumerate_bubbles,
     export_dot,
     is_untwisted,
@@ -95,6 +98,10 @@ class TestBuildColored:
         g = build_colored(3, [], [], [])
         assert validate_colored(g).valid
         assert components(g, {0, 1}) == []
+        assert dual_counts(g) == (0, 0, 0, 0)
+        assert enumerate_bubbles(g) == []
+        assert bubble_census(g).total == 0
+        assert core._connected(g) is False
         s = to_stranded(g)
         assert s.vertices == () and s.edges == ()
 
