@@ -129,7 +129,7 @@ def _counts_of(g: ColoredGraph | StrandedGraph) -> tuple[int, int, int, bool]:
     from .topology import _strand_circuits
     if isinstance(g, ColoredGraph):
         # the bubbles over all colors are the components, and each holds its faces
-        ((_colors, _labels, sizes, faces),) = _bubble_table(g, [tuple(g.colors)])
+        sizes, faces = next(_bubble_table(g, [tuple(g.colors)]), (0, 0, {}, {}))[2:]  # no row at n = 0
         return 2 * g.n, (g.rank + 1) * g.n, sum(faces.values()), len(sizes) == 1
     return (len(g.vertices), len(g.edges), sum(1 for _cycle in _strand_circuits(g)),
             len(stranded_components(g)) == 1)

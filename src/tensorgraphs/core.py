@@ -25,9 +25,12 @@ checked, so a ``StrandedGraph`` made with its constructor is checked on
 first use and raises the builder's errors there.
 
 Every count on the colored side is an orbit count of the matchings.
-``_face_steps`` builds every pair's sigma_b^-1 sigma_a on whites,
-inverting each matching at most once; the {a, b}-faces are its cycles,
-counted by a plain walk, ``_cycle_roots``.  The bubbles of a color set
+``_checked`` is the one pass that decides colored validity and inverts
+the matchings; every colored walk reads the inverses from ``_inverses``,
+so a ``ColoredGraph`` made with its constructor raises when first
+walked.  ``_face_steps`` composes each pair's sigma_b^-1 sigma_a on
+whites (none at n = 0); the {a, b}-faces are its cycles, counted by a
+plain walk, ``_cycle_roots``.  The bubbles of a color set
 S are the orbits on whites of those steps for b in S, a = min S, taken
 by ``_orbits``, and connectivity is S = all colors.  ``_bubble_table``
 is the one pass that counts bubbles with their faces, a subset at a
@@ -319,13 +322,10 @@ def build_colored(
     return ColoredGraph(rank, whites, blacks, matchings)  # type: ignore[arg-type]
 
 
-def validate_colored(g: ColoredGraph) -> ValidationReport:
-    """Check every colored-graph invariant, reporting all violations.
-
-    Violations are data, not exceptions, so graphs assembled without the
-    builder can be inspected.  White/black endpoint parity holds by
-    encoding (matchings go from whites to blacks) and cannot be violated.
-    """
+def _checked(g: ColoredGraph) -> tuple[list[Violation], list[list[int]]]:
+    """Every violation of the colored-graph invariants, in report order,
+    and each matching's inverse (-1 where no white maps), from one pass.
+    At n = 0 the inverses are one shared empty list: rank sizes little."""
     violations: list[Violation] = []
     if g.rank < 2:
         violations.append(Violation("BadRank", str(g.rank), f"rank must be >= 2, got {g.rank}"))
@@ -343,31 +343,50 @@ def validate_colored(g: ColoredGraph) -> ValidationReport:
         violations.append(Violation(
             "MissingColorAtVertex", "graph",
             f"expected {g.rank + 1} matchings, got {len(g.matchings)}"))
-    for c, sigma in enumerate(g.matchings):
+    inverses = [[-1] * n for _sigma in g.matchings] if n else [[]] * len(g.matchings)
+    for c, (sigma, inverse) in enumerate(zip(g.matchings, inverses)):
         if len(sigma) != n:
             violations.append(Violation(
                 "MissingColorAtVertex", f"color {c}",
                 f"matching for color {c} covers {len(sigma)} whites, expected {n}"))
             continue
-        hit: dict[int, int] = {}
         for i, j in enumerate(sigma):
-            if not 0 <= j < n:
+            if not 0 <= j < n:  # a negative target would index from the end
                 violations.append(Violation(
                     "UnknownNode", f"color {c}, white {g.whites[i]!r}",
                     f"matching target {j} out of range"))
-            elif j in hit:
+            elif inverse[j] >= 0:
                 violations.append(Violation(
                     "DuplicateColorAtVertex", g.blacks[j],
                     f"color {c} repeated at black {g.blacks[j]!r}"))
             else:
-                hit[j] = i
-        if len(hit) < n:
-            for j in range(n):
-                if j not in hit:
-                    violations.append(Violation(
-                        "MissingColorAtVertex", g.blacks[j],
-                        f"black {g.blacks[j]!r} has no edge of color {c}"))
+                inverse[j] = i
+        for j in (range(n) if -1 in inverse else ()):
+            if inverse[j] < 0:
+                violations.append(Violation(
+                    "MissingColorAtVertex", g.blacks[j],
+                    f"black {g.blacks[j]!r} has no edge of color {c}"))
+    return violations, inverses
+
+
+def validate_colored(g: ColoredGraph) -> ValidationReport:
+    """Check every colored-graph invariant, reporting all violations.
+
+    Violations are data, not exceptions, so graphs assembled without the
+    builder can be inspected.  White/black endpoint parity holds by
+    encoding (matchings go from whites to blacks) and cannot be violated.
+    """
+    violations = _checked(g)[0]
     return ValidationReport(not violations, tuple(violations))
+
+
+def _inverses(g: ColoredGraph) -> list[list[int]]:
+    """Each sigma_c^-1, which every colored walk reads, from the pass that
+    checks the graph; one that fails raises, naming its first violation."""
+    violations, inverses = _checked(g)
+    if violations:
+        raise BadParameters(f"graph fails validation: {violations[0].message}")
+    return inverses
 
 
 def _inverse(perm: Sequence[int]) -> list[int]:
@@ -420,10 +439,10 @@ def _cycle_roots(perm: Sequence[int]) -> list[int]:
 
 def _face_steps(g: ColoredGraph) -> dict[tuple[int, int], list[int]]:
     """sigma_b^-1 sigma_a on whites for every color pair a < b; its cycles
-    are the {a, b}-faces.  Each sigma_b, b >= 1, is inverted once."""
-    inverse = {b: _inverse(g.matchings[b]) for b in g.colors[1:]}
-    return {(a, b): [inverse[b][j] for j in g.matchings[a]]
-            for a, b in itertools.combinations(g.colors, 2)}
+    are the {a, b}-faces.  A graph with no vertex has no pair to step."""
+    inverses = _inverses(g)
+    return {(a, b): list(map(inverses[b].__getitem__, g.matchings[a]))
+            for a, b in itertools.combinations(g.colors if g.n else (), 2)}
 
 
 def _bubble_table(g: ColoredGraph, subsets: Iterable[tuple[int, ...]]) -> Iterator[tuple]:
@@ -432,14 +451,14 @@ def _bubble_table(g: ColoredGraph, subsets: Iterable[tuple[int, ...]]) -> Iterat
     white of its bubble, and ``sizes`` and ``faces`` map that least white
     to how many whites and {x, y}-cycle roots, x < y in colors, the bubble
     holds (faces: 0 where none).  A bubble's blacks are sigma_a of its
-    whites, a = min colors."""
+    whites, a = min colors.  At n = 0 there is no row, and no subset is read."""
     n = g.n
     steps = _face_steps(g)
     roots = {pair: _cycle_roots(step) for pair, step in steps.items()}
-    for colors in subsets:
+    for colors in subsets if n else ():
         labels = _orbits([steps[colors[0], b] for b in colors[1:]], n)
         inside = [roots[pair] for pair in itertools.combinations(colors, 2)]
-        if n and not any(labels):  # one bubble holds every root
+        if not any(labels):  # one bubble holds every root
             yield colors, labels, {0: n}, {0: sum(map(len, inside))}
         else:
             yield (colors, labels, Counter(labels),
@@ -469,7 +488,7 @@ def _component(g: ColoredGraph, colors: tuple[int, ...], whites: list[int]) -> C
 
 def _connected(g: ColoredGraph) -> bool:
     """Connectivity: one orbit on whites of every sigma_b^-1 sigma_0; no faces are counted."""
-    steps = [list(map(_inverse(tau).__getitem__, g.matchings[0])) for tau in g.matchings[1:]]
+    steps = [list(map(tau.__getitem__, g.matchings[0])) for tau in _inverses(g)[1:]]
     return g.n > 0 and not any(_orbits(steps, g.n))
 
 
@@ -486,7 +505,7 @@ def components(g: ColoredGraph, colors: set[int] | frozenset[int]) -> list[Compo
     if not colors:
         return [Component((label,), ()) for label, _parity in g.nodes()]
     subset = tuple(sorted(colors))
-    labels = next(_bubble_table(g, [subset]))[1]
+    labels = next(_bubble_table(g, [subset]), ((), []))[1]  # no row at n = 0
     return [_component(g, subset, whites) for whites in _groups(labels)]
 
 
@@ -499,10 +518,7 @@ def to_stranded(g: ColoredGraph) -> StrandedGraph:
     both.  Half-edge labels are ``<vertex>:<color>``.  All strand
     permutations are the identity: colored graphs carry no twists.
     """
-    report = validate_colored(g)
-    if not report.valid:
-        raise BadParameters(
-            f"graph fails validation: {report.violations[0].message}")
+    _inverses(g)  # a malformed graph raises here
     vertices = tuple(
         StrandedVertex(label, tuple(f"{label}:{c}" for c in g.colors))
         for label, _parity in g.nodes()

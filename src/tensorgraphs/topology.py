@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .core import (
-    ColoredEdge, ColoredGraph, StrandSlot, StrandedGraph, _cycle_roots, _face_steps, _inverse,
+    ColoredEdge, ColoredGraph, StrandSlot, StrandedGraph, _cycle_roots, _face_steps, _inverses,
     _slot_labels)
 from .errors import BadParameters, ColorOutOfRange, Disconnected, NegativeGenus, OddEuler
 
@@ -128,7 +128,7 @@ def pair_cycle_count(g: ColoredGraph, a: int, b: int) -> int:
         raise ColorOutOfRange(f"color pair ({a}, {b}) outside 0..{g.rank}")
     if a == b:
         raise BadParameters(f"a color pair needs two distinct colors, got {a} twice")
-    inverse = _inverse(g.matchings[max(a, b)])
+    inverse = _inverses(g)[max(a, b)]
     return len(_cycle_roots([inverse[j] for j in g.matchings[min(a, b)]]))
 
 

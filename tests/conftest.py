@@ -1,8 +1,30 @@
+import contextlib
 import random
+import signal
 
 import pytest
 
 from tensorgraphs import build_colored, build_stranded
+
+
+class DeadlineExceeded(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the block, instead of hanging the suite, if it runs past
+    ``seconds`` of wall time (a real-time interval timer, main thread)."""
+    def expire(_signum, _frame):
+        raise DeadlineExceeded(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

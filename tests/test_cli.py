@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import tensorgraphs
 from tensorgraphs import cli, parse_graph, random_colored, serialize_graph, to_stranded
 from tensorgraphs.cli import run
 
-from .conftest import make_genus_one, make_quad
+from .conftest import deadline, make_genus_one, make_quad
 
 
 @pytest.fixture
@@ -117,6 +118,34 @@ class TestBubbles:
 
     def test_stranded_rejected(self, corpus):
         assert run(["bubbles", corpus["tadpoleA.json"]]).exit_code == 2
+
+
+class TestEmptyAtLargeRank:
+    """A colored document with no vertex does no work per color pair or
+    triple: at rank 1000 there are 500,500 pairs and 166,167,000 triples,
+    which ``bubbles`` once walked for over two minutes and ``faces`` once
+    stepped with 97 MB."""
+
+    @pytest.mark.parametrize("args", [["faces"], ["faces", "--json"], ["bubbles"],
+                                      ["bubbles", "--k", "2"]], ids=" ".join)
+    def test_rank_1000(self, tmp_path, args):
+        def empty(rank):
+            path = tmp_path / f"empty-{rank}.json"
+            path.write_text(json.dumps({"format": "colored-tensor-graph", "version": 1,
+                                        "rank": rank, "whites": [], "blacks": [], "edges": []}))
+            return str(path)
+
+        small = run([args[0], empty(3), *args[1:]])  # also loads every module the command uses
+        large = empty(1000)
+        with deadline(1):
+            tracemalloc.start()
+            try:
+                result = run([args[0], large, *args[1:]])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert result == small and result.exit_code == 0
+        assert peak < 1_000_000
 
 
 class TestGenus:

@@ -1,5 +1,6 @@
 import pickle
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,8 @@ from tensorgraphs import (
     StrandedEdge,
     StrandedGraph,
     StrandedVertex,
+    bicolored_face_count,
+    bicolored_faces,
     bubble_census,
     build_colored,
     build_stranded,
@@ -24,6 +27,7 @@ from tensorgraphs import (
     export_dot,
     is_untwisted,
     mo_admissibility,
+    pair_cycle_count,
     random_colored,
     serialize_graph,
     stranded_components,
@@ -44,6 +48,9 @@ from tensorgraphs.errors import (
     UnknownNode,
     WrongValence,
 )
+from tensorgraphs.render import bubbles_report, faces_report
+
+from .conftest import deadline
 
 
 @st.composite
@@ -105,6 +112,17 @@ class TestBuildColored:
         s = to_stranded(g)
         assert s.vertices == () and s.edges == ()
 
+    def test_large_rank_empty_graph_is_checked_in_little_memory(self):
+        # the colors share one empty inverse: 20,001 of their own would take 1.1 MB
+        g = build_colored(20000, [], [], [])
+        tracemalloc.start()
+        try:
+            report = validate_colored(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.valid and peak < 500_000
+
     def test_quad_every_vertex_sees_every_color(self, quad):
         assert validate_colored(quad).valid
         seen = {label: set() for label, _ in quad.nodes()}
@@ -118,6 +136,16 @@ class TestBuildColored:
         assert quad.parity("b1") == BLACK
         with pytest.raises(UnknownNode):
             quad.parity("nope")
+
+
+W2, B2 = ("w0", "w1"), ("b0", "b1")
+W3, B3 = ("w0", "w1", "w2"), ("b0", "b1", "b2")
+PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1))
+
+
+def with_row(c, row):
+    """PERMS with the color-c matching replaced by ``row``."""
+    return PERMS[:c] + (row,) + PERMS[c + 1:]
 
 
 class TestValidateColored:
@@ -141,6 +169,53 @@ class TestValidateColored:
     def test_valid_has_no_violations(self, quad):
         report = validate_colored(quad)
         assert report.valid and report.violations == ()
+
+    # recorded before validate_colored's pass also built the inverses that
+    # the walks read: every violation and its order must stay
+    @pytest.mark.parametrize("g, violations", [
+        (ColoredGraph(3, W2, B2, ((0, 1), (1, 1), (0, 1), (0, 1))), [
+            ("DuplicateColorAtVertex", "b1", "color 1 repeated at black 'b1'"),
+            ("MissingColorAtVertex", "b0", "black 'b0' has no edge of color 1")]),
+        (ColoredGraph(3, W3, B3, with_row(2, (2, 2, 1))), [
+            ("DuplicateColorAtVertex", "b2", "color 2 repeated at black 'b2'"),
+            ("MissingColorAtVertex", "b0", "black 'b0' has no edge of color 2")]),
+        (ColoredGraph(3, W3, B3, with_row(0, (0, 3, 2))), [
+            ("UnknownNode", "color 0, white 'w1'", "matching target 3 out of range"),
+            ("MissingColorAtVertex", "b1", "black 'b1' has no edge of color 0")]),
+        (ColoredGraph(3, W3, B3, with_row(1, (1, 2, -1))), [
+            ("UnknownNode", "color 1, white 'w2'", "matching target -1 out of range"),
+            ("MissingColorAtVertex", "b0", "black 'b0' has no edge of color 1")]),
+        (ColoredGraph(3, W3, B3, with_row(3, (-3, 2, 1))), [
+            ("UnknownNode", "color 3, white 'w0'", "matching target -3 out of range"),
+            ("MissingColorAtVertex", "b0", "black 'b0' has no edge of color 3")]),
+        (ColoredGraph(3, W3, B3, with_row(1, (1, 2))), [
+            ("MissingColorAtVertex", "color 1", "matching for color 1 covers 2 whites, expected 3")]),
+        (ColoredGraph(3, W3, B3, with_row(0, (0, 1, 2, 0))), [
+            ("MissingColorAtVertex", "color 0", "matching for color 0 covers 4 whites, expected 3")]),
+        (ColoredGraph(3, W3, B3, PERMS[:3]), [
+            ("MissingColorAtVertex", "graph", "expected 4 matchings, got 3")]),
+        (ColoredGraph(3, W3, B3, PERMS + PERMS[:1]), [
+            ("MissingColorAtVertex", "graph", "expected 4 matchings, got 5")]),
+        (ColoredGraph(3, W3, ("b0", "b1"), PERMS), [
+            ("UnequalParts", "graph", "3 white vertices vs 2 black")]),
+        (ColoredGraph(1, W3, B3, PERMS[:2]), [("BadRank", "1", "rank must be >= 2, got 1")]),
+        (ColoredGraph(3, ("x", "w1", "w2"), ("b0", "x", "w1"), with_row(0, (5, 5, -1))), [
+            ("DuplicateLabel", "x", "label 'x' used twice"),
+            ("DuplicateLabel", "w1", "label 'w1' used twice"),
+            ("UnknownNode", "color 0, white 'x'", "matching target 5 out of range"),
+            ("UnknownNode", "color 0, white 'w1'", "matching target 5 out of range"),
+            ("UnknownNode", "color 0, white 'w2'", "matching target -1 out of range"),
+            ("MissingColorAtVertex", "b0", "black 'b0' has no edge of color 0"),
+            ("MissingColorAtVertex", "x", "black 'x' has no edge of color 0"),
+            ("MissingColorAtVertex", "w1", "black 'w1' has no edge of color 0")]),
+        (ColoredGraph(3, (), (), ((),) * 3), [
+            ("MissingColorAtVertex", "graph", "expected 4 matchings, got 3")]),
+        (ColoredGraph(2, ("w0",), ("b0",), ((0,), (0,), (1,))), [
+            ("UnknownNode", "color 2, white 'w0'", "matching target 1 out of range"),
+            ("MissingColorAtVertex", "b0", "black 'b0' has no edge of color 2")]),
+    ])
+    def test_pinned_reports(self, g, violations):
+        assert validate_colored(g) == (False, tuple(violations))
 
 
 class TestComponents:
@@ -378,6 +453,85 @@ class TestDirectConstruction:
         s = tadpole_a._replace(edges=(tadpole_a.edges[0],))
         with raises_exactly(DanglingHalfEdge, "half-edges in no edge (open legs): 'h2', 'h3'"):
             trace_faces(s)
+
+
+COLORED_ENTRIES = {
+    "bicolored_faces": bicolored_faces,
+    "bicolored_face_count": bicolored_face_count,
+    "pair_cycle_count": lambda g: pair_cycle_count(g, 0, 1),
+    "components": lambda g: components(g, {0, 1}),
+    **{f"enumerate_bubbles-{k}": lambda g, k=k: enumerate_bubbles(g, k) for k in (1, 2, 3)},
+    "bubble_census": bubble_census,
+    "dual_counts": dual_counts,
+    "to_stranded": to_stranded,
+    "faces_report": lambda g: faces_report(g, False),
+    "faces_report-json": lambda g: faces_report(g, True),
+    "bubbles_report": lambda g: bubbles_report(g, False),
+    "bubbles_report-json": lambda g: bubbles_report(g, True),
+    "serialize_graph": serialize_graph,
+    "export_dot": export_dot,
+}
+
+
+@st.composite
+def one_mutation(draw):
+    """A valid graph with one matching row changed: a target set to another
+    target of its row (a duplicate, or itself), to n or more, or below
+    zero; the row shortened or lengthened by one; or two targets swapped,
+    which keeps the graph valid."""
+    rank = draw(st.integers(min_value=2, max_value=4))
+    g = draw(colored_graphs(rank=rank, max_n=4))
+    c, n = draw(st.integers(min_value=0, max_value=rank)), g.n
+    row = list(g.matchings[c])
+    i, j = (draw(st.integers(min_value=0, max_value=n - 1)) for _ in range(2))
+    kind = draw(st.sampled_from(["duplicate", "high", "negative", "length", "swap"]))
+    if kind == "duplicate":
+        row[i] = row[j]
+    elif kind == "high":
+        row[i] = draw(st.integers(min_value=n, max_value=n + 3))
+    elif kind == "negative":
+        row[i] = draw(st.integers(min_value=-n - 1, max_value=-1))
+    elif kind == "length":
+        row = row[:-1] if draw(st.booleans()) else row + [row[j]]
+    else:
+        row[i], row[j] = row[j], row[i]
+    return g._replace(matchings=g.matchings[:c] + (tuple(row),) + g.matchings[c + 1:])
+
+
+class TestColoredDirectConstruction:
+    """A ColoredGraph made with its constructor, bypassing build_colored, is
+    checked when it is first walked: every colored entry point raises
+    what to_stranded raises, BadParameters naming the first violation
+    that validate_colored reports.  Before one pass both checked and
+    inverted the matchings, the graph whose color-1 matching hits b1
+    twice made components and bubbles_report run past the deadline,
+    bicolored_faces gave 10 faces and serialize_graph wrote a document
+    that parse_graph rejects; a target of 5 raised a bare IndexError."""
+
+    @pytest.mark.parametrize("g, message", [
+        (ColoredGraph(3, W2, B2, ((0, 1), (1, 1), (0, 1), (0, 1))), "color 1 repeated at black 'b1'"),
+        (ColoredGraph(3, W2, B2, ((0, 1), (0, 5), (0, 1), (0, 1))), "matching target 5 out of range"),
+    ], ids=["duplicate", "out-of-range"])
+    @pytest.mark.parametrize("entry", COLORED_ENTRIES.values(), ids=COLORED_ENTRIES)
+    def test_entry_points_raise(self, entry, g, message):
+        for _ in range(2):  # nothing half-built is kept after a failure
+            with deadline(2), raises_exactly(BadParameters, f"graph fails validation: {message}"):
+                entry(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(one_mutation())
+    def test_one_mutation_raises_exactly_when_invalid(self, g):
+        report = validate_colored(g)
+        for name, entry in COLORED_ENTRIES.items():
+            if name == "dual_counts" and g.rank != 3:
+                continue
+            with deadline(2):
+                if report.valid:
+                    entry(g)
+                    continue
+                with raises_exactly(
+                        BadParameters, f"graph fails validation: {report.violations[0].message}"):
+                    entry(g)
 
 
 class TestRecords:

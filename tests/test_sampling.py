@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import multiprocessing
 import os
@@ -328,3 +330,79 @@ class TestCensus:
         total_bubbles = sum(report.genus_histogram.values())
         assert report.planar_fraction == Fraction(
             report.genus_histogram.get(0, 0), total_bubbles)
+
+
+@functools.cache
+def exact_law(rank, n):
+    """How many graphs give each (faces, bubble genera, connected) of
+    ``_sample_stats``, over every graph with sigma_0 = id.  Relabelling the
+    blacks by pi maps each sigma_c to pi sigma_c and changes no count, so
+    these (n!)^D graphs weigh exactly as the (n!)^(D+1) uniform draws."""
+    whites, blacks = tuple(f"w{i}" for i in range(n)), tuple(f"b{i}" for i in range(n))
+    ident = tuple(range(n))
+    return Counter(
+        sampling._sample_stats(ColoredGraph(rank, whites, blacks, (ident, *rest)))
+        for rest in itertools.product(itertools.permutations(range(n)), repeat=rank))
+
+
+def exact_moments(law, value):
+    """Exact mean and variance of ``value(stats)`` over ``law``."""
+    total = sum(law.values())
+    mean = sum(Fraction(w) * value(stats) for stats, w in law.items()) / total
+    return mean, sum(Fraction(w) * value(stats) ** 2 for stats, w in law.items()) / total - mean**2
+
+
+class TestExactCensus:
+    """Census fields against their exact values at small n, from every graph
+    of the ensemble: rank 2 up to n = 5, rank 3 up to n = 4 (13,824
+    graphs), rank 4 up to n = 3.  A biased shuffle, such as Sattolo's
+    variant or one that skips its last swap, keeps every frozen digest it
+    was recorded with, but lands outside these bounds."""
+
+    SIZES = [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 5)] + [
+        (4, n) for n in range(1, 4)]
+
+    @pytest.mark.parametrize("rank, n", SIZES)
+    def test_mean_faces_is_pairs_times_harmonic(self, rank, n):
+        law = exact_law(rank, n)
+        assert exact_moments(law, lambda stats: stats[0])[0] == math.comb(rank + 1, 2) * sum(
+            Fraction(1, k) for k in range(1, n + 1))
+
+    @pytest.mark.parametrize("n, connected, planar", [
+        (3, Fraction(97, 108), Fraction(45, 47)), (4, Fraction(2143, 2304), Fraction(324, 373))])
+    def test_rank_3_values(self, n, connected, planar):
+        law = exact_law(3, n)
+        bubbles, planars = (exact_moments(law, lambda stats, f=f: f(stats[1]))[0]
+                            for f in (len, lambda genera: genera.count(0)))
+        assert exact_moments(law, lambda stats: stats[2])[0] == connected
+        assert planars / bubbles == planar
+
+    # seeds fixed before the census was first compared
+    @pytest.mark.parametrize("rank, n, seed", [(2, 2, 4101), (3, 4, 4103)])
+    def test_census_within_five_standard_errors(self, rank, n, seed):
+        """Each field is a mean over independent samples (the planar
+        fraction a ratio of two, taken to first order), so it lies within
+        five standard errors of its exact value; a field with no variance
+        must be exact."""
+        samples, law = 4000, exact_law(rank, n)
+        report = census(rank, n, samples, seed)
+
+        def near(estimate, value, field):
+            mean, variance = exact_moments(law, value)
+            assert (estimate - mean) ** 2 <= 25 * variance / samples, (field, estimate, mean)
+
+        near(report.mean_faces, lambda stats: stats[0], "mean_faces")
+        near(report.connected_fraction, lambda stats: stats[2], "connected_fraction")
+        counts = {len(genera) for _faces, genera, _c in law} | set(report.bubble_count_distribution)
+        for k in counts:
+            near(Fraction(report.bubble_count_distribution.get(k, 0), samples),
+                 lambda stats: len(stats[1]) == k, f"bubble_count_distribution[{k}]")
+        genera = {g for _faces, gs, _c in law for g in gs} | set(report.genus_histogram)
+        for g in genera:
+            near(Fraction(report.genus_histogram.get(g, 0), samples),
+                 lambda stats: stats[1].count(g), f"genus_histogram[{g}]")
+        bubbles = exact_moments(law, lambda stats: len(stats[1]))[0]
+        ratio = exact_moments(law, lambda stats: stats[1].count(0))[0] / bubbles
+        near(report.planar_fraction - ratio,
+             lambda stats: (stats[1].count(0) - ratio * len(stats[1])) / bubbles,
+             "planar_fraction")
