@@ -7,11 +7,11 @@ characteristic and hence a genus.
 
 Bubbles and their faces are orbit counts of the matchings, read a color
 subset at a time from the one pass in ``core``, ``_bubble_table``;
-bubble objects are built only for output.  The
-three-color bubbles have one walk, ``_bubble_records``, which yields each
-in record order as vertex indices and counts: ``bubble_census`` builds
-its records from it, and ``render`` writes the CLI's bubbles report
-from it directly.
+bubble objects, plain records of their colors, vertices and edges, are
+built only for output.  The three-color bubbles have one walk,
+``_bubble_records``, which yields each in record order as vertex
+indices and counts: ``bubble_census`` builds its records from it, and
+``render`` writes the CLI's bubbles report from it directly.
 """
 
 from __future__ import annotations
@@ -26,34 +26,16 @@ from .errors import BadCardinal
 from .topology import RibbonCounts, bicolored_face_count
 
 
-class _BubbleFields(NamedTuple):
+class Bubble(NamedTuple):
+    """One connected component of a color-subset subgraph: plain data,
+    whites then blacks by index, edges by color then white index."""
+
     colors: tuple[int, ...]
     vertices: tuple[str, ...]
     edges: tuple[ColoredEdge, ...]
 
-
-class Bubble(_BubbleFields):
-    """One connected component of a color-subset subgraph.
-
-    ``parent``, the graph it lies in, is an attribute and not a field,
-    so equality, hashing, repr and iteration leave it out; use
-    :meth:`detach` for a plain serializable record.
-    """
-
-    def __new__(cls, colors, vertices, edges, parent: ColoredGraph):
-        self = super().__new__(cls, colors, vertices, edges)
-        self.parent = parent
-        return self
-
-    def __getnewargs__(self):
-        return (*self, self.parent)
-
-    def _replace(self, **changes) -> Bubble:
-        parent = changes.pop("parent", self.parent)
-        return Bubble(*super()._replace(**changes), parent)
-
     def detach(self) -> dict:
-        """Plain data view, independent of the parent graph."""
+        """Plain serializable view: lists of colors, labels and edges."""
         return {
             "colors": list(self.colors),
             "vertices": list(self.vertices),
@@ -93,11 +75,6 @@ def _bubble_rows(g: ColoredGraph, k: int) -> Iterator[tuple[tuple[int, ...], lis
             yield colors, whites, faces[whites[0]]
 
 
-def _bubble(g: ColoredGraph, colors: tuple[int, ...], whites: list[int]) -> Bubble:
-    comp = _component(g, colors, whites)
-    return Bubble(colors, comp.vertices, comp.edges, g)
-
-
 def enumerate_bubbles(g: ColoredGraph, k: int = 3) -> list[Bubble]:
     """All bubbles over every cardinal-k color subset.
 
@@ -107,7 +84,7 @@ def enumerate_bubbles(g: ColoredGraph, k: int = 3) -> list[Bubble]:
     """
     if not 1 <= k <= g.rank + 1:
         raise BadCardinal(f"cardinal {k} outside 1..{g.rank + 1}")
-    return [_bubble(g, colors, whites) for colors, whites, _f in _bubble_rows(g, k)]
+    return [Bubble(c, *_component(g, c, whites)) for c, whites, _f in _bubble_rows(g, k)]
 
 
 def _bubble_records(
@@ -126,15 +103,14 @@ def bubble_ribbon(b: Bubble) -> RibbonCounts:
 
     F counts the two-color cycles over the bubble's own color pairs: the
     faces of the bubble taken as a rank-2 graph of its own, so the cost
-    is linear in the bubble, not in the parent graph.
+    is linear in the bubble, not in the graph it lies in.
     """
     if len(b.colors) != 3:
         raise BadCardinal(
             f"ribbon invariants are defined for three-color bubbles, "
             f"got colors {b.colors}")
-    g = b.parent
-    whites = [v for v in b.vertices if v in g.white_index]
-    blacks = [v for v in b.vertices if v not in g.white_index]
+    whites = list(dict.fromkeys(e.white for e in b.edges))
+    blacks = list(dict.fromkeys(e.black for e in b.edges))
     edges = [(b.colors.index(e.color), e.white, e.black) for e in b.edges]
     f = bicolored_face_count(build_colored(2, whites, blacks, edges))
     v, e = len(b.vertices), len(b.edges)
@@ -148,7 +124,7 @@ def bubble_census(g: ColoredGraph) -> BubbleCensus:
     least vertex label), so two runs over the same graph are identical.
     """
     records = [
-        BubbleRecord(_bubble(g, colors, whites), *counts, counts[-1] == 0)
+        BubbleRecord(Bubble(colors, *_component(g, colors, whites)), *counts, counts[-1] == 0)
         for colors, whites, _blacks, counts in _bubble_records(g)]
     histogram = Counter(r.genus for r in records)
     return BubbleCensus(tuple(records), len(records), histogram[0],

@@ -125,12 +125,12 @@ def _cmd_bubbles(args) -> CommandResult:
 
 
 def _counts_of(g: ColoredGraph | StrandedGraph) -> tuple[int, int, int, bool]:
-    from .core import ColoredGraph, _bubble_table, stranded_components
+    from .core import ColoredGraph, _triple_counts, stranded_components
     from .topology import _strand_circuits
     if isinstance(g, ColoredGraph):
-        # the bubbles over all colors are the components, and each holds its faces
-        sizes, faces = next(_bubble_table(g, [tuple(g.colors)]), (0, 0, {}, {}))[2:]  # no row at n = 0
-        return 2 * g.n, (g.rank + 1) * g.n, sum(faces.values()), len(sizes) == 1
+        # at rank 2 the one triple is every color: its bubbles are the components
+        faces, _genera, connected = _triple_counts(g)
+        return 2 * g.n, (g.rank + 1) * g.n, faces, connected
     return (len(g.vertices), len(g.edges), sum(1 for _cycle in _strand_circuits(g)),
             len(stranded_components(g)) == 1)
 
@@ -319,7 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = check_sub.add_parser("mo", help="decide multi-orientability, with witness")
     p.add_argument("file")
     p.add_argument("--pattern", choices=("alternating", "block"),  # sorted(checks.PATTERNS)
-                   default="alternating")
+                   default="alternating", help="corner signs; block never answers "
+                   "'not admissible' on a valid untwisted rank-3 graph")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_check_mo)
 

@@ -34,8 +34,8 @@ plain walk, ``_cycle_roots``.  The bubbles of a color set
 S are the orbits on whites of those steps for b in S, a = min S, taken
 by ``_orbits``, and connectivity is S = all colors.  ``_bubble_table``
 is the one pass that counts bubbles with their faces, a subset at a
-time.  Each {a, b}-face lies in exactly one bubble of each of the D - 1
-triples that hold a and b, so the triples' face counts sum to (D - 1) F.
+time; ``_triple_counts`` reads it over the color triples for census,
+dual and genus, and checks every bubble's genus for all three.
 
 Records are ``typing.NamedTuple``s; the graphs subclass one of their
 fields so that their cached indices have an instance dict.  Graphs are
@@ -344,7 +344,8 @@ def _checked(g: ColoredGraph) -> tuple[list[Violation], list[list[int]]]:
             "MissingColorAtVertex", "graph",
             f"expected {g.rank + 1} matchings, got {len(g.matchings)}"))
     inverses = [[-1] * n for _sigma in g.matchings] if n else [[]] * len(g.matchings)
-    for c, (sigma, inverse) in enumerate(zip(g.matchings, inverses)):
+    rows = zip(g.matchings, inverses) if len(g.blacks) == n else ()  # targets name blacks
+    for c, (sigma, inverse) in enumerate(rows):
         if len(sigma) != n:
             violations.append(Violation(
                 "MissingColorAtVertex", f"color {c}",
@@ -465,6 +466,20 @@ def _bubble_table(g: ColoredGraph, subsets: Iterable[tuple[int, ...]]) -> Iterat
                    Counter(map(labels.__getitem__, itertools.chain.from_iterable(inside))))
 
 
+def _triple_counts(g: ColoredGraph) -> tuple[int, tuple[int, ...], bool]:
+    """Faces, the genus of every three-color bubble, and whether some triple
+    is one bubble, which makes the graph connected (at rank 2 the one triple
+    is every color, so it is connectivity), from one pass over the triples."""
+    faces, genera, one_bubble = 0, [], False
+    for colors, _labels, sizes, f in _bubble_table(g, itertools.combinations(g.colors, 3)):
+        faces += sum(f.values())
+        one_bubble = one_bubble or len(sizes) == 1
+        genera.extend(_bubble_genus(colors, 2 * w, 3 * w, f[root]) for root, w in sizes.items())
+    # each {a, b}-face lies in exactly one bubble of each of the D - 1
+    # triples that hold a and b, so the triples count every face D - 1 times
+    return faces // (g.rank - 1), tuple(genera), one_bubble
+
+
 def _bubble_genus(colors: tuple[int, ...], v: int, e: int, f: int) -> int:
     """Genus of one three-color bubble.  Bubbles of valid colored graphs
     are connected and orientable, so chi is even and genus non-negative;
@@ -503,6 +518,7 @@ def components(g: ColoredGraph, colors: set[int] | frozenset[int]) -> list[Compo
         if not 0 <= c <= g.rank:
             raise ColorOutOfRange(f"color {c} outside 0..{g.rank}")
     if not colors:
+        _inverses(g)  # a malformed graph raises here, as on every walk
         return [Component((label,), ()) for label, _parity in g.nodes()]
     subset = tuple(sorted(colors))
     labels = next(_bubble_table(g, [subset]), ((), []))[1]  # no row at n = 0

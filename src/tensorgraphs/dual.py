@@ -3,16 +3,16 @@
 Each graph vertex is dual to a tetrahedron, each edge to a shared
 triangle, each two-color face to a segment, and each three-color bubble
 to a point.  Only the f-vector is produced, not the gluing itself:
-points and segments come from one pass of ``core._bubble_table`` over
-the color triples, and segments are their face counts over D - 1 = 2.
+segments and points are the face total and the bubble count of
+``core._triple_counts``, the one pass over the color triples that the
+census reads too.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
-from .core import ColoredGraph, _bubble_table
+from .core import ColoredGraph, _triple_counts
 from .errors import WrongRank
 
 
@@ -31,14 +31,8 @@ def dual_counts(g: ColoredGraph) -> DualComplexCounts:
     """
     if g.rank != 3:
         raise WrongRank(f"dual tetrahedral counts are defined for rank 3, got {g.rank}")
-    points = faces = 0
-    for _colors, _labels, sizes, f in _bubble_table(g, itertools.combinations(g.colors, 3)):
-        points += len(sizes)
-        faces += sum(f.values())
-    # each {a, b}-face lies in exactly one bubble of each of the D - 1
-    # triples that hold a and b, so the triples count every face D - 1 times
-    return DualComplexCounts(tetrahedra=2 * g.n, triangles=4 * g.n,
-                             segments=faces // (g.rank - 1), points=points)
+    faces, genera, _one_bubble = _triple_counts(g)
+    return DualComplexCounts(2 * g.n, 4 * g.n, segments=faces, points=len(genera))
 
 
 def complex_euler(c: DualComplexCounts) -> int:

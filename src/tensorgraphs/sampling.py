@@ -21,9 +21,9 @@ bounds while none of a chunk can be rejected; from the first chunk
 where one can, the rest is drawn draw by draw.  Either way they are the
 draw-by-draw stream.
 
-A sample's faces, bubble genera and connectivity come from one pass of
-``core._bubble_table`` over the color triples; its face total is the
-triples' face counts over D - 1, since each face lies in D - 1 triples.
+A sample's faces, bubble genera and connectivity come from
+``core._triple_counts``, the one pass over the color triples that
+``dual`` and ``genus`` read too.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
-from .core import ColoredGraph, _bubble_genus, _bubble_table, _connected
+from .core import ColoredGraph, _connected, _triple_counts
 from .errors import AttemptsExhausted, BadParameters
 
 GENERATOR_ID = "splitmix64/fisher-yates/v1"
@@ -209,18 +209,11 @@ class CensusReport(NamedTuple):
 
 
 def _sample_stats(g: ColoredGraph) -> tuple[int, tuple[int, ...], bool]:
-    """Faces, bubble genera and connectivity of one graph, as counts, from
-    one pass over the color triples.  A triple that is one bubble makes
-    the graph connected; only when no triple is one are all colors'
-    orbits taken."""
-    faces, genera, connected = 0, [], False
-    for colors, _labels, sizes, f in _bubble_table(g, itertools.combinations(g.colors, 3)):
-        faces += sum(f.values())
-        connected = connected or len(sizes) == 1
-        genera.extend(_bubble_genus(colors, 2 * w, 3 * w, f[root]) for root, w in sizes.items())
-    # each {a, b}-face lies in exactly one bubble of each of the D - 1
-    # triples that hold a and b, so the triples count every face D - 1 times
-    return faces // (g.rank - 1), tuple(genera), connected or _connected(g)
+    """Faces, bubble genera and connectivity of one graph, as counts.  A
+    triple that is one bubble makes the graph connected; only when no
+    triple is one are all colors' orbits taken."""
+    faces, genera, one_bubble = _triple_counts(g)
+    return faces, genera, one_bubble or _connected(g)
 
 
 def _census_part(args: tuple[int, int, int, range]) -> tuple[int, Counter, Counter, int]:

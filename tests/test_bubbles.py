@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorgraphs import (
+    Bubble,
     ColoredEdge,
     bicolored_face_count,
     bicolored_faces,
@@ -106,6 +107,11 @@ class TestEnumerate:
         assert data["vertices"] == ["w1", "b1"]
         assert len(data["edges"]) == 3
 
+    def test_bubble_is_a_plain_record(self, dipole):
+        bubble = enumerate_bubbles(dipole, 3)[0]
+        assert Bubble._fields == ("colors", "vertices", "edges")
+        assert not hasattr(bubble, "__dict__")
+
 
 class TestRibbon:
     def test_dipole_bubbles(self, dipole):
@@ -137,6 +143,15 @@ class TestRibbon:
                 assert rc.f == sum(
                     composition_cycle_oracle(g, a, c)
                     for a, c in itertools.combinations(b.colors, 2))
+
+    def test_rebuilt_from_detached_data(self, genus_one_graph):
+        """A bubble is its own data: rebuilt from ``detach``, with no graph
+        at hand, it has the same ribbon counts."""
+        for b in enumerate_bubbles(genus_one_graph, 3):
+            data = b.detach()
+            rebuilt = Bubble(tuple(data["colors"]), tuple(data["vertices"]),
+                             tuple(ColoredEdge(*e) for e in data["edges"]))
+            assert rebuilt == b and bubble_ribbon(rebuilt) == bubble_ribbon(b)
 
     def test_ribbon_needs_three_colors(self, dipole):
         pair_bubble = enumerate_bubbles(dipole, 2)[0]

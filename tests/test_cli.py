@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import tensorgraphs
-from tensorgraphs import cli, parse_graph, random_colored, serialize_graph, to_stranded
+from tensorgraphs import (
+    cli, core, parse_graph, random_colored, random_connected, serialize_graph, to_stranded)
 from tensorgraphs.cli import run
 
 from .conftest import deadline, make_genus_one, make_quad
@@ -301,6 +302,21 @@ class TestExitContract:
         assert result.exit_code == 3
         assert result.report == (
             "internal error: RecursionError: maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("command, rank", [("dual", 3), ("genus", 2)])
+    def test_miscounted_face_exits_3(self, tmp_path, monkeypatch, command, rank):
+        """A face walk that loses one cycle leaves some bubble with odd chi.
+        dual and genus check every bubble's genus, as census does, so this
+        is an internal fault; unchecked, dual printed the wrong segments
+        and genus exited 1 with OddEuler."""
+        path = tmp_path / "g.json"
+        path.write_bytes(serialize_graph(random_connected(rank, 20, 3)))
+        assert run([command, str(path)]).exit_code == 0
+        roots = core._cycle_roots
+        monkeypatch.setattr(core, "_cycle_roots", lambda perm: roots(perm)[:-1])
+        result = run([command, str(path)])
+        assert result.exit_code == 3
+        assert result.report.startswith("internal invariant violation: bubble over colors")
 
     @pytest.mark.parametrize("argv, code, room", [
         (["faces", "dipole.json", "--json"], 0, 0),

@@ -141,6 +141,7 @@ class TestBuildColored:
 W2, B2 = ("w0", "w1"), ("b0", "b1")
 W3, B3 = ("w0", "w1", "w2"), ("b0", "b1", "b2")
 PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1))
+UNEQUAL_ROWS = ((2, 2, 0),) + ((0, 1, 2),) * 3  # for three whites and two blacks
 
 
 def with_row(c, row):
@@ -197,6 +198,9 @@ class TestValidateColored:
         (ColoredGraph(3, W3, B3, PERMS + PERMS[:1]), [
             ("MissingColorAtVertex", "graph", "expected 4 matchings, got 5")]),
         (ColoredGraph(3, W3, ("b0", "b1"), PERMS), [
+            ("UnequalParts", "graph", "3 white vertices vs 2 black")]),
+        # rows target blacks past the last one; reading them raised IndexError
+        (ColoredGraph(3, W3, B2, UNEQUAL_ROWS), [
             ("UnequalParts", "graph", "3 white vertices vs 2 black")]),
         (ColoredGraph(1, W3, B3, PERMS[:2]), [("BadRank", "1", "rank must be >= 2, got 1")]),
         (ColoredGraph(3, ("x", "w1", "w2"), ("b0", "x", "w1"), with_row(0, (5, 5, -1))), [
@@ -460,6 +464,7 @@ COLORED_ENTRIES = {
     "bicolored_face_count": bicolored_face_count,
     "pair_cycle_count": lambda g: pair_cycle_count(g, 0, 1),
     "components": lambda g: components(g, {0, 1}),
+    "components-none": lambda g: components(g, set()),
     **{f"enumerate_bubbles-{k}": lambda g, k=k: enumerate_bubbles(g, k) for k in (1, 2, 3)},
     "bubble_census": bubble_census,
     "dual_counts": dual_counts,
@@ -511,7 +516,8 @@ class TestColoredDirectConstruction:
     @pytest.mark.parametrize("g, message", [
         (ColoredGraph(3, W2, B2, ((0, 1), (1, 1), (0, 1), (0, 1))), "color 1 repeated at black 'b1'"),
         (ColoredGraph(3, W2, B2, ((0, 1), (0, 5), (0, 1), (0, 1))), "matching target 5 out of range"),
-    ], ids=["duplicate", "out-of-range"])
+        (ColoredGraph(3, W3, B2, UNEQUAL_ROWS), "3 white vertices vs 2 black"),
+    ], ids=["duplicate", "out-of-range", "unequal-parts"])
     @pytest.mark.parametrize("entry", COLORED_ENTRIES.values(), ids=COLORED_ENTRIES)
     def test_entry_points_raise(self, entry, g, message):
         for _ in range(2):  # nothing half-built is kept after a failure
@@ -550,12 +556,11 @@ class TestRecords:
 
     def test_bubble_identity_ignores_parent(self, quad):
         bubble = enumerate_bubbles(quad)[0]
-        other = bubble._replace(parent=random_colored(3, 2, 1))
-        assert other.parent is not quad and bubble.parent is quad
+        other = enumerate_bubbles(quad._replace())[0]  # from an equal graph, not the same one
         assert other == bubble and hash(other) == hash(bubble)
         assert repr(other) == repr(bubble) and "parent" not in repr(bubble)
         assert tuple(bubble) == (bubble.colors, bubble.vertices, bubble.edges)
-        assert bubble._replace(colors=(0, 1, 3)).parent is quad
+        assert bubble._replace(colors=(0, 1, 3)) == ((0, 1, 3), bubble.vertices, bubble.edges)
 
     def test_pickle_round_trip(self, quad):
         s = to_stranded(quad)
@@ -568,4 +573,3 @@ class TestRecords:
         assert (g.white_index, g.black_index) == (quad.white_index, quad.black_index)
         copy = pickle.loads(pickle.dumps(s))
         assert copy._index == s._index and copy.halfedge_refs == s.halfedge_refs
-        assert pickle.loads(pickle.dumps(bubble)).parent == quad
