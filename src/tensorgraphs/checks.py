@@ -28,7 +28,8 @@ from __future__ import annotations
 from operator import xor
 from typing import Iterator, Mapping, NamedTuple
 
-from .core import WHITE, ColoredGraph, HalfEdgeRef, StrandedGraph, _inverse, _orbits
+from .core import (WHITE, ColoredGraph, HalfEdgeRef, StrandedGraph, _inverse, _orbits,
+                   identity_permutation)
 from .errors import TwistedInput, WrongRank
 
 
@@ -120,7 +121,7 @@ def is_untwisted(s: StrandedGraph) -> tuple[bool, tuple[int, ...]]:
     """True plus () iff every strand permutation is the identity;
     otherwise False plus the offending edge indices."""
     s._index  # a malformed graph raises here, before its twists
-    ident = tuple(range(s.rank))
+    ident = identity_permutation(s.rank)
     offenders = tuple(
         i for i, e in enumerate(s.edges) if e.permutation != ident
     )
@@ -342,21 +343,3 @@ def stranded_same_structure(s1: StrandedGraph, s2: StrandedGraph) -> bool:
         return sorted(out)
 
     return normalized(s1) == normalized(s2)
-
-
-__all__ = [
-    "ALTERNATING",
-    "BLOCK",
-    "PATTERNS",
-    "ColorabilityResult",
-    "MoObstruction",
-    "MoResult",
-    "SignAssignment",
-    "SignPattern",
-    "colorability",
-    "colored_mo_witness",
-    "is_untwisted",
-    "mo_admissibility",
-    "stranded_same_structure",
-    "verify_sign_assignment",
-]

@@ -289,8 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def graph_command(name: str, handler, help_: str):
-        p = sub.add_parser(name, help=help_)
+    def graph_command(name: str, handler, help_: str, parent=sub):
+        p = parent.add_parser(name, help=help_)
         p.add_argument("file", help="graph document (JSON)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.set_defaults(handler=handler)
@@ -312,17 +312,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="decide structural properties")
     check_sub = check.add_subparsers(dest="property", required=True)
-    p = check_sub.add_parser("colorable", help="decide colorability, with witness")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_check_colorable)
-    p = check_sub.add_parser("mo", help="decide multi-orientability, with witness")
-    p.add_argument("file")
+    graph_command("colorable", _cmd_check_colorable, "decide colorability, with witness", check_sub)
+    p = graph_command("mo", _cmd_check_mo, "decide multi-orientability, with witness", check_sub)
     p.add_argument("--pattern", choices=("alternating", "block"),  # sorted(checks.PATTERNS)
                    default="alternating", help="corner signs; block never answers "
                    "'not admissible' on a valid untwisted rank-3 graph")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_check_mo)
 
     p = sub.add_parser("random", help="sample a random colored graph")
     p.add_argument("--rank", type=int, required=True)

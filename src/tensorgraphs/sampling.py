@@ -70,7 +70,10 @@ class SplitMix64:
         return _mix64(self._state)
 
     def below(self, bound: int) -> int:
-        """Uniform draw in [0, bound) by rejection; no modulo bias."""
+        """Uniform draw in [0, bound) by rejection; no modulo bias.
+        Raises ``BadParameters`` for ``bound < 1``, before any draw."""
+        if bound < 1:
+            raise BadParameters(f"bound must be >= 1, got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             r = self.next_u64()

@@ -4,7 +4,7 @@ import signal
 
 import pytest
 
-from tensorgraphs import build_colored, build_stranded
+from tensorgraphs import ColoredGraph, SplitMix64, build_colored, build_stranded
 
 
 class DeadlineExceeded(Exception):
@@ -40,6 +40,25 @@ def make_quad():
     for c in (2, 3):
         edges += [(c, "w1", "b2"), (c, "w2", "b1")]
     return build_colored(3, ["w1", "w2"], ["b1", "b2"], edges)
+
+
+def melonic(rank, n, seed):
+    """Connected melonic graph on n vertex pairs, by seeded melon insertion.
+
+    Starts from the elementary melon w0 =all colors= b0.  For each m in
+    1..n-1 it draws a color c = below(rank + 1) and a white i = below(m)
+    from SplitMix64(seed), and replaces w_i -c- b by w_i -c- b_m,
+    b_m =all other colors= w_m and w_m -c- b.
+    """
+    rng = SplitMix64(seed)
+    rows = [[0] for _ in range(rank + 1)]
+    for m in range(1, n):
+        c, i = rng.below(rank + 1), rng.below(m)
+        for color, row in enumerate(rows):
+            row.append(row[i] if color == c else m)
+        rows[c][i] = m
+    return ColoredGraph(rank, tuple(f"w{i}" for i in range(n)), tuple(f"b{j}" for j in range(n)),
+                        tuple(map(tuple, rows)))
 
 
 @pytest.fixture

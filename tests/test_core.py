@@ -137,6 +137,38 @@ class TestBuildColored:
         with pytest.raises(UnknownNode):
             quad.parity("nope")
 
+    @pytest.mark.parametrize("error, message, rank, whites, blacks, edges", [
+        # the rank is checked before everything
+        (BadParameters, "rank must be >= 2, got 1", 1, ["w1", "w2"], ["b1"], []),
+        # unequal parts win over an unknown node
+        (UnequalParts, "2 white vertices vs 1 black",
+         3, ["w1", "w2"], ["b1"], [(0, "w9", "b1")]),
+        # a label declared twice wins over every edge fault
+        (BadParameters, "vertex label 'x' declared twice", 3, ["x"], ["x"], [(7, "x", "x")]),
+        # on one edge: the color is checked before its ends
+        (ColorOutOfRange, "color 4 outside 0..3 on edge ('w9', 'b1')",
+         3, ["w1"], ["b1"], [(4, "w9", "b1")]),
+        # an unknown end on edge 0 wins over one on edge 1
+        (UnknownNode, "edge of color 0 references unknown black 'b7'",
+         3, ["w1"], ["b1"], [(0, "w1", "b7"), (0, "w9", "b1")]),
+        # the first repeat in edge order is named, at whichever end it is
+        (DuplicateColorAtVertex, "color 1 repeated at black 'b1'",
+         3, ["w1", "w2"], ["b1", "b2"], [(1, "w1", "b1"), (1, "w2", "b1"), (1, "w1", "b2")]),
+        (DuplicateColorAtVertex, "color 1 repeated at white 'w1'",
+         3, ["w1", "w2"], ["b1", "b2"], [(1, "w1", "b1"), (1, "w1", "b2"), (1, "w2", "b1")]),
+        # every edge fault wins over a missing color, named at its white
+        (MissingColorAtVertex, "white 'w1' has no edge of color 2",
+         3, ["w1", "w2"], ["b1", "b2"],
+         [(c, "w2", "b2") for c in range(4)] + [(c, "w1", "b1") for c in (0, 1, 3)]),
+        # edge order wins over color order: color 0 repeats too, listed later
+        (DuplicateColorAtVertex, "color 2 repeated at black 'b1'",
+         2, ["w1", "w2"], ["b1", "b2"],
+         [(2, "w1", "b1"), (2, "w2", "b1"), (0, "w1", "b2"), (0, "w2", "b2"), (1, "w1", "b1")]),
+    ])
+    def test_first_fault_wins(self, error, message, rank, whites, blacks, edges):
+        with raises_exactly(error, message):
+            build_colored(rank, whites, blacks, edges)
+
 
 W2, B2 = ("w0", "w1"), ("b0", "b1")
 W3, B3 = ("w0", "w1", "w2"), ("b0", "b1", "b2")

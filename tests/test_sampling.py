@@ -106,6 +106,13 @@ class TestGenerator:
         draws = {rng.below(5) for _ in range(200)}
         assert draws == {0, 1, 2, 3, 4}
 
+    @pytest.mark.parametrize("bound", [0, -5])
+    def test_bound_below_one_rejected(self, bound):
+        rng = SplitMix64(1)
+        with pytest.raises(BadParameters, match=f"^bound must be >= 1, got {bound}$"):
+            rng.below(bound)
+        assert rng.next_u64() == SplitMix64(1).next_u64()  # no draw was taken
+
     @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, 2**64 + 5],
                              ids=["0", "1", "2^63", "2^64-1", "2^64+5"])
     def test_block_is_the_stream(self, seed):
