@@ -55,10 +55,22 @@ def _json_report(payload: dict) -> str:
     return json.dumps({"tool_version": __version__, **payload}, indent=2)
 
 
-def _load(path: str) -> ColoredGraph | StrandedGraph:
+class _InvalidGraph(Exception):
+    """The report on a document that a builder rejected with BadParameters:
+    the graph is invalid (exit 1), though that type also marks bad flags."""
+
+
+def _parse(path: str) -> ColoredGraph | StrandedGraph:
     from .formats import parse_graph
     with open(path, "rb") as fh:
         return parse_graph(fh.read())
+
+
+def _load(path: str) -> ColoredGraph | StrandedGraph:
+    try:
+        return _parse(path)
+    except BadParameters as err:
+        raise _InvalidGraph(f"invalid graph: BadParameters: {err}") from None
 
 
 def _require_colored(g, what: str) -> ColoredGraph:
@@ -85,7 +97,7 @@ def _write_out(data: bytes, out: str | None) -> str:
 
 def _cmd_validate(args) -> CommandResult:
     try:
-        _load(args.file)
+        _parse(args.file)
     except (ParseError, UnknownFormat, VersionUnsupported, OSError) as err:
         return CommandResult(2, f"error: {err}")
     except TensorGraphError as err:
@@ -141,8 +153,6 @@ def _cmd_genus(args) -> CommandResult:
         v, e, f = args.counts
         connected = True
     else:
-        if args.file is None:
-            raise BadParameters("genus needs a FILE or --counts V E F")
         g = _load(args.file)
         if g.rank != 2:
             raise WrongRank(
@@ -302,9 +312,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3, help="color subset cardinality (default 3)")
 
     p = sub.add_parser("genus", help="genus from ribbon counts or a rank-2 graph")
-    p.add_argument("file", nargs="?", help="rank-2 graph document")
-    p.add_argument("--counts", type=int, nargs=3, metavar=("V", "E", "F"),
-                   help="explicit vertex/edge/face counts of a connected ribbon graph")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("file", nargs="?", help="rank-2 graph document")
+    source.add_argument("--counts", type=int, nargs=3, metavar=("V", "E", "F"),
+                        help="explicit vertex/edge/face counts of a connected ribbon graph")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_genus)
 
@@ -356,6 +367,8 @@ def run(argv: list[str]) -> CommandResult:
         return CommandResult(code, "")
     try:
         return args.handler(args)
+    except _InvalidGraph as err:
+        return CommandResult(1, str(err))
     except USAGE_ERRORS as err:
         return CommandResult(2, f"error: {err}")
     except PROPERTY_ERRORS as err:

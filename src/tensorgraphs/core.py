@@ -29,8 +29,10 @@ Every count on the colored side is an orbit count of the matchings.
 the matchings; every colored walk reads the inverses from ``_inverses``,
 so a ``ColoredGraph`` made with its constructor raises when first
 walked.  ``_face_steps`` composes each pair's sigma_b^-1 sigma_a on
-whites (none at n = 0); the {a, b}-faces are its cycles, counted by a
-plain walk, ``_cycle_roots``.  The bubbles of a color set
+whites (none at n = 0); the {a, b}-faces are its cycles, and
+``_cycle_roots``, which finds each cycle's least white, is the one walk
+over them: every face count reads it, and the face lists of ``topology``
+start from its roots.  The bubbles of a color set
 S are the orbits on whites of those steps for b in S, a = min S, taken
 by ``_orbits``, and connectivity is S = all colors.  ``_bubble_table``
 is the one pass that counts bubbles with their faces, a subset at a

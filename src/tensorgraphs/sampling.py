@@ -71,7 +71,10 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform draw in [0, bound) by rejection; no modulo bias.
-        Raises ``BadParameters`` for ``bound < 1``, before any draw."""
+        Raises ``BadParameters`` for a bound that is not an int, or is
+        below 1, before any draw."""
+        if not isinstance(bound, int):
+            raise BadParameters(f"bound must be an int, got {bound!r}")
         if bound < 1:
             raise BadParameters(f"bound must be >= 1, got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)

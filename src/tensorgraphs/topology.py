@@ -5,14 +5,14 @@ vertex pairing after edge gluing, walked on slot ids numbered in vertex
 label order (see ``core``).  For colored graphs the same circuits appear
 as the connected components of two-color subgraphs, which are even
 alternating cycles: the {a, b}-faces are the cycles of sigma_b^-1
-sigma_a on whites, counted by ``core._cycle_roots``.  Both routes are
-implemented and must agree.
+sigma_a on whites.  Both routes are implemented and must agree.
 
 Each kind of face has one walk, a private generator of integer ids:
-``_strand_circuits`` yields slot ids and ``_colored_face_walks`` white
-indices.  ``trace_faces`` and ``bicolored_faces`` build their objects
-from these walks, and ``render`` writes the CLI's faces report from
-them directly.
+``_strand_circuits`` yields slot ids, and ``_colored_face_walks`` lists
+white indices from the roots of ``core._cycle_roots``, the one walk over
+colored cycles, which also gives every colored face count.
+``trace_faces`` and ``bicolored_faces`` build their objects from these
+walks, and ``render`` writes the CLI's faces report from them directly.
 """
 
 from __future__ import annotations
@@ -88,18 +88,13 @@ def trace_faces(s: StrandedGraph) -> FaceSet:
 
 def _colored_face_walks(g: ColoredGraph) -> Iterator[tuple[int, int, list[int]]]:
     """The faces of a colored graph as (a, b, whites): the {a, b}-cycle
-    through white indices ``whites``, from its least, stepping by
+    through white indices ``whites``, from its root, stepping by
     sigma_b^-1 sigma_a.  Its edges are the color-a edge at whites[t]
     followed by the color-b edge at whites[t + 1], cyclically."""
     for (a, b), step in _face_steps(g).items():
-        seen = bytearray(g.n)
-        for start in range(g.n):
-            if seen[start]:
-                continue
-            cycle = []
-            i = start
-            while not seen[i]:
-                seen[i] = 1
+        for start in _cycle_roots(step):
+            cycle, i = [start], step[start]
+            while i != start:
                 cycle.append(i)
                 i = step[i]
             yield a, b, cycle

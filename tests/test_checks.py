@@ -125,6 +125,18 @@ class TestColoredWitness:
     def test_quad(self, quad):
         assert verify_sign_assignment(to_stranded(quad), colored_mo_witness(quad))
 
+    def test_wrong_sign_rejected(self, dipole):
+        witness = colored_mo_witness(dipole)
+        signs = dict(witness.signs)
+        signs[HalfEdgeRef("b1", 2)] = -signs[HalfEdgeRef("b1", 2)]  # off b1's rotation
+        assert not verify_sign_assignment(to_stranded(dipole), witness._replace(signs=signs))
+
+    def test_missing_rotation_rejected(self, dipole):
+        witness = colored_mo_witness(dipole)
+        rotations = {v: r for v, r in witness.rotations.items() if v != "w1"}
+        assert not verify_sign_assignment(to_stranded(dipole),
+                                          witness._replace(rotations=rotations))
+
     def test_random_graphs_validate(self):
         g = random_colored(3, 5, 42)
         assert verify_sign_assignment(to_stranded(g), colored_mo_witness(g))
@@ -256,6 +268,18 @@ class TestInclusion:
         assert recovered.colorable
         assert validate_colored(recovered.witness).valid
         assert stranded_same_structure(to_stranded(recovered.witness), s)
+
+
+class TestSameStructure:
+    def test_other_rank_differs(self):
+        dipoles = [build_colored(rank, ["w1"], ["b1"], [(c, "w1", "b1") for c in range(rank + 1)])
+                   for rank in (2, 3)]
+        assert not stranded_same_structure(*map(to_stranded, dipoles))
+
+    def test_other_vertex_labels_differ(self, dipole):
+        renamed = build_colored(3, ["w2"], ["b1"], [(c, "w2", "b1") for c in range(4)])
+        assert stranded_same_structure(to_stranded(dipole), to_stranded(dipole))
+        assert not stranded_same_structure(to_stranded(dipole), to_stranded(renamed))
 
 
 class TestLargeAndAdversarial:

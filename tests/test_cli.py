@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -55,8 +56,38 @@ class TestValidate:
         assert result.exit_code == 1
         assert "DuplicateColorAtVertex" in result.report
 
+    def test_invalid_graph_json(self, corpus):
+        result = run(["validate", corpus["duplicate_color.json"], "--json"])
+        assert result.exit_code == 1
+        assert result.report == (
+            '{\n  "tool_version": "%s",\n  "valid": false,\n  "violations": [\n    {\n'
+            '      "rule": "DuplicateColorAtVertex",\n      "element": "",\n'
+            '      "message": "color 2 repeated at white \'w1\'"\n    }\n  ]\n}'
+            % tensorgraphs.__version__)
+
     def test_unknown_format(self, corpus):
         assert run(["validate", corpus["unknown_format.json"]]).exit_code == 2
+
+    @pytest.mark.parametrize("document, report", [
+        (b'{"format": "\xff"}', "error: document is not UTF-8: 'utf-8' codec can't decode "
+         "byte 0xff in position 12: invalid start byte"),
+        ({"format": "colored-tensor-graph", "version": 1, "rank": 2, "whites": ["w", 1],
+          "blacks": [], "edges": []}, "error: document.whites[1]: expected a string"),
+        ({"format": "colored-tensor-graph", "version": 1, "rank": 2, "whites": [], "blacks": [],
+          "edges": [3]}, "error: edges[0]: expected an object"),
+        ({"format": "stranded-tensor-graph", "version": 1, "rank": 2, "vertices": ["v"],
+          "edges": []}, "error: vertices[0]: expected an object"),
+        ({"format": "stranded-tensor-graph", "version": 1, "rank": 2, "vertices": [],
+          "edges": [["a", "b"]]}, "error: edges[0]: expected an object"),
+        ({"format": "stranded-tensor-graph", "version": 1, "rank": 2, "vertices": [],
+          "edges": [{"halfedges": ["a", "b", "c"]}]},
+         "error: edges[0]: field 'halfedges' must hold exactly two labels"),
+    ], ids=["not-utf8", "label-not-string", "colored-edge-not-object",
+            "vertex-not-object", "stranded-edge-not-object", "three-halfedges"])
+    def test_parse_error_exits_2(self, tmp_path, document, report):
+        path = tmp_path / "doc.json"
+        path.write_bytes(document if isinstance(document, bytes) else json.dumps(document).encode())
+        assert run(["validate", str(path)]) == (2, report)
 
     def test_malformed(self, corpus):
         assert run(["validate", corpus["malformed.json"]]).exit_code == 2
@@ -113,6 +144,11 @@ class TestBubbles:
         payload = json.loads(
             run(["bubbles", corpus["dipole.json"], "--k", "2", "--json"]).report)
         assert payload["total"] == 6
+
+    def test_k2_text(self, corpus):
+        assert run(["bubbles", corpus["dipole.json"], "--k", "2"]) == (0, "\n".join(
+            ["bubbles: 6"] + [f"  [{i}] colors {{{a},{b}}} V=2 E=2"
+                              for i, (a, b) in enumerate(itertools.combinations(range(4), 2))]))
 
     def test_bad_k(self, corpus):
         assert run(["bubbles", corpus["dipole.json"], "--k", "9"]).exit_code == 2
@@ -198,6 +234,14 @@ class TestGenus:
     def test_no_input_rejected(self):
         assert run(["genus"]).exit_code == 2
 
+    def test_file_and_counts_rejected(self, corpus, capsys):
+        """FILE and --counts exclude each other: argparse rejects both at once
+        instead of reading the counts and ignoring the file."""
+        result = run(["genus", corpus["dipole.json"], "--counts", "2", "3", "3"])
+        assert result == (2, "")
+        assert capsys.readouterr().err.endswith(
+            "error: argument --counts: not allowed with argument file\n")
+
 
 class TestDual:
     def test_dipole(self, corpus):
@@ -264,6 +308,17 @@ class TestRandomAndCensus:
         assert a.exit_code == 0
         assert a.report == b.report
 
+    def test_census_text(self):
+        assert run(["census", "--rank", "3", "--size", "4", "--samples", "10",
+                    "--seed", "1"]) == (0, "\n".join([
+                        "samples: 10  rank: 3  n: 4  seed: 1",
+                        "mean faces: 12",
+                        "bubble count distribution: 4:5 5:4 9:1",
+                        "genus histogram: 0:40 1:9",
+                        "planar fraction: 40/49",
+                        "connected fraction: 9/10",
+                        "generator: splitmix64/fisher-yates/v1"]))
+
     def test_census_bad_parameters(self):
         assert run(["census", "--rank", "3", "--size", "2", "--samples", "0",
                     "--seed", "9"]).exit_code == 2
@@ -292,6 +347,30 @@ class TestExitContract:
         }
         for (command, name), code in expected.items():
             assert run([command, corpus[name]]).exit_code == code, (command, name)
+
+    @pytest.mark.parametrize("document, message", [
+        ({"format": "colored-tensor-graph", "version": 1, "rank": 2, "whites": ["x"],
+          "blacks": ["x"], "edges": []}, "vertex label 'x' declared twice"),
+        ({"format": "colored-tensor-graph", "version": 1, "rank": 1, "whites": [], "blacks": [],
+          "edges": []}, "rank must be >= 2, got 1"),
+        ({"format": "stranded-tensor-graph", "version": 1, "rank": 2,
+          "vertices": [{"id": "u", "halfedges": ["h0", "h1", "h2"]},
+                       {"id": "v", "halfedges": ["h0", "k1", "k2"]}],
+          "edges": []}, "half-edge label 'h0' declared twice"),
+        ({"format": "stranded-tensor-graph", "version": 1, "rank": 3,
+          "vertices": [{"id": "v", "halfedges": ["h0", "h1", "h2", "h3"]}],
+          "edges": [{"halfedges": ["h0", "h9"]}, {"halfedges": ["h2", "h3"]}]},
+         "edge references undeclared half-edge 'h9'"),
+    ], ids=["duplicate-label", "rank-1", "duplicate-halfedge", "undeclared-halfedge"])
+    def test_rejected_document_exits_1(self, tmp_path, document, message):
+        """A document that a builder rejects with BadParameters is an invalid
+        graph for every FILE command, not a usage error."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        assert run(["validate", str(path)]) == (1, f"invalid: BadParameters: {message}")
+        for command in (["faces"], ["bubbles"], ["dual"], ["genus"], ["check", "colorable"],
+                        ["check", "mo"], ["export-dot"]):
+            assert run(command + [str(path)]) == (1, f"invalid graph: BadParameters: {message}")
 
     def test_internal_fault_exits_3(self, corpus, monkeypatch):
         def fail(*_args):

@@ -113,6 +113,13 @@ class TestGenerator:
             rng.below(bound)
         assert rng.next_u64() == SplitMix64(1).next_u64()  # no draw was taken
 
+    @pytest.mark.parametrize("bound, shown", [(2.5, "2.5"), ("3", "'3'")], ids=["float", "str"])
+    def test_bound_not_int_rejected(self, bound, shown):
+        rng = SplitMix64(1)
+        with pytest.raises(BadParameters, match=f"^bound must be an int, got {shown}$"):
+            rng.below(bound)
+        assert rng.next_u64() == SplitMix64(1).next_u64()  # no draw was taken
+
     @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, 2**64 + 5],
                              ids=["0", "1", "2^63", "2^64-1", "2^64+5"])
     def test_block_is_the_stream(self, seed):
