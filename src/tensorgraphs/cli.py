@@ -311,7 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = graph_command("bubbles", _cmd_bubbles, "enumerate bubbles with ribbon invariants")
     p.add_argument("--k", type=int, default=3, help="color subset cardinality (default 3)")
 
-    p = sub.add_parser("genus", help="genus from ribbon counts or a rank-2 graph")
+    p = sub.add_parser("genus", help="genus from ribbon counts or a rank-2 graph",
+                       usage="%(prog)s [-h] [--json] (file | --counts V E F)")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("file", nargs="?", help="rank-2 graph document")
     source.add_argument("--counts", type=int, nargs=3, metavar=("V", "E", "F"),

@@ -15,29 +15,32 @@ Every edge records how the slots of its two ends are glued, as a
 permutation written against both ends' ascending slot labels; the
 identity permutation means the strands run parallel (no twist).
 
-Every stranded computation reads one integer index, ``_index``: vertex
-i is the i-th label in ascending order, half-edge h = i*(D+1) + position
-and slot h*D + k its k-th slot label, so slot ids ascend in (vertex
-label, position, slot) order.  Faces are the orbits of vertex pairing
-after edge gluing on slot ids; components are orbits on half-edge ids.
-The pass that builds the index is the one place where closure is
-checked, so a ``StrandedGraph`` made with its constructor is checked on
-first use and raises the builder's errors there.
+Every walk reads one cached, checked integer index per graph, built by
+the one pass that checks the graph.  The builders (and the census, whose
+samples are permutations by construction) hand it over; a graph made
+with its constructor or ``_replace`` is checked on first walk, and a
+failed check is not kept, so it raises on every walk.
+
+The stranded index is ``_index``: vertex i is the i-th label in
+ascending order, half-edge h = i*(D+1) + position and slot h*D + k its
+k-th slot label, so slot ids ascend in (vertex label, position, slot)
+order.  Faces are the orbits of vertex pairing after edge gluing on
+slot ids; components are orbits on half-edge ids.  Its pass is the one
+closure check, and raises the builder's errors.
 
 Every count on the colored side is an orbit count of the matchings.
-``_checked`` is the one pass that decides colored validity and inverts
-the matchings; every colored walk reads the inverses from ``_inverses``,
-so a ``ColoredGraph`` made with its constructor raises when first
-walked.  ``_face_steps`` composes each pair's sigma_b^-1 sigma_a on
-whites (none at n = 0); the {a, b}-faces are its cycles, and
-``_cycle_roots``, which finds each cycle's least white, is the one walk
-over them: every face count reads it, and the face lists of ``topology``
-start from its roots.  The bubbles of a color set
-S are the orbits on whites of those steps for b in S, a = min S, taken
-by ``_orbits``, and connectivity is S = all colors.  ``_bubble_table``
-is the one pass that counts bubbles with their faces, a subset at a
-time; ``_triple_counts`` reads it over the color triples for census,
-dual and genus, and checks every bubble's genus for all three.
+Its index is ``_inverses``, each matching's inverse, from ``_checked``,
+the one pass that decides colored validity and inverts the matchings.
+``_face_steps`` composes each pair's sigma_b^-1 sigma_a on whites (none
+at n = 0); the {a, b}-faces are its cycles, and ``_cycle_roots``, which
+finds each cycle's least white, is the one walk over them: every face
+count reads it, and the face lists of ``topology`` start from its roots.
+The bubbles of a color set S are the orbits on whites of those steps for
+b in S, a = min S, taken by ``_orbits``, and connectivity is S = all
+colors.  ``_bubble_table`` is the one pass that counts bubbles with their
+faces, a subset at a time; ``_triple_counts`` reads it over the color
+triples for census, dual and genus, and checks every bubble's genus for
+all three.
 
 Records are ``typing.NamedTuple``s; the graphs subclass one of their
 fields so that their cached indices have an instance dict.  Graphs are
@@ -133,6 +136,15 @@ class ColoredGraph(_ColoredFields):
     @cached_property
     def black_index(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.blacks)}
+
+    @cached_property
+    def _inverses(self) -> list[list[int]]:
+        """Each sigma_c^-1, which every colored walk reads, from the pass that
+        checks the graph; one that fails raises, naming its first violation."""
+        violations, inverses = _checked(self)
+        if violations:
+            raise BadParameters(f"graph fails validation: {violations[0].message}")
+        return inverses
 
     def parity(self, label: str) -> str:
         if label in self.white_index:
@@ -298,7 +310,7 @@ def build_colored(
     widx = {label: i for i, label in enumerate(whites)}
     bidx = {label: i for i, label in enumerate(blacks)}
 
-    rows: dict[int, tuple[list[int | None], set[int]]] = {}  # color -> (row, blacks hit)
+    rows: dict[int, tuple[list[int | None], list[int | None]]] = {}  # color -> (row, inverse)
     for color, white, black in edges:
         if not 0 <= color <= rank:
             raise ColorOutOfRange(f"color {color} outside 0..{rank} on edge ({white!r}, {black!r})")
@@ -307,21 +319,23 @@ def build_colored(
         if black not in bidx:
             raise UnknownNode(f"edge of color {color} references unknown black {black!r}")
         i, j = widx[white], bidx[black]
-        row, black_seen = rows.get(color) or rows.setdefault(
-            color, (defaultdict(type(None)) if short else [None] * n, set()))
+        row, inverse = rows.get(color) or rows.setdefault(
+            color, tuple(defaultdict(type(None)) if short else [None] * n for _ in range(2)))
         if row[i] is not None:
             raise DuplicateColorAtVertex(f"color {color} repeated at white {white!r}")
-        if j in black_seen:
+        if inverse[j] is not None:
             raise DuplicateColorAtVertex(f"color {color} repeated at black {black!r}")
-        row[i] = j
-        black_seen.add(j)
+        row[i], inverse[j] = j, i
     if short:
         color, i = next((c, i) for c in itertools.count() for i in range(n)
                         if c not in rows or rows[c][0][i] is None)
         raise MissingColorAtVertex(f"white {whites[i]!r} has no edge of color {color}")
     # (rank + 1) * n or more edges on distinct (color, white) slots fill every slot
     matchings = tuple(tuple(rows[c][0]) for c in range(rank + 1)) if n else ((),) * (rank + 1)
-    return ColoredGraph(rank, whites, blacks, matchings)  # type: ignore[arg-type]
+    g = ColoredGraph(rank, whites, blacks, matchings)  # type: ignore[arg-type]
+    if n:  # each inverse is full and checked too; at n = 0 _checked shares one empty row
+        g.__dict__["_inverses"] = [rows[c][1] for c in range(rank + 1)]
+    return g
 
 
 def _checked(g: ColoredGraph) -> tuple[list[Violation], list[list[int]]]:
@@ -383,15 +397,6 @@ def validate_colored(g: ColoredGraph) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations))
 
 
-def _inverses(g: ColoredGraph) -> list[list[int]]:
-    """Each sigma_c^-1, which every colored walk reads, from the pass that
-    checks the graph; one that fails raises, naming its first violation."""
-    violations, inverses = _checked(g)
-    if violations:
-        raise BadParameters(f"graph fails validation: {violations[0].message}")
-    return inverses
-
-
 def _inverse(perm: Sequence[int]) -> list[int]:
     inv = [0] * len(perm)
     for i, j in enumerate(perm):
@@ -443,7 +448,7 @@ def _cycle_roots(perm: Sequence[int]) -> list[int]:
 def _face_steps(g: ColoredGraph) -> dict[tuple[int, int], list[int]]:
     """sigma_b^-1 sigma_a on whites for every color pair a < b; its cycles
     are the {a, b}-faces.  A graph with no vertex has no pair to step."""
-    inverses = _inverses(g)
+    inverses = g._inverses
     return {(a, b): list(map(inverses[b].__getitem__, g.matchings[a]))
             for a, b in itertools.combinations(g.colors if g.n else (), 2)}
 
@@ -505,7 +510,7 @@ def _component(g: ColoredGraph, colors: tuple[int, ...], whites: list[int]) -> C
 
 def _connected(g: ColoredGraph) -> bool:
     """Connectivity: one orbit on whites of every sigma_b^-1 sigma_0; no faces are counted."""
-    steps = [list(map(tau.__getitem__, g.matchings[0])) for tau in _inverses(g)[1:]]
+    steps = [list(map(tau.__getitem__, g.matchings[0])) for tau in g._inverses[1:]]
     return g.n > 0 and not any(_orbits(steps, g.n))
 
 
@@ -520,7 +525,7 @@ def components(g: ColoredGraph, colors: set[int] | frozenset[int]) -> list[Compo
         if not 0 <= c <= g.rank:
             raise ColorOutOfRange(f"color {c} outside 0..{g.rank}")
     if not colors:
-        _inverses(g)  # a malformed graph raises here, as on every walk
+        g._inverses  # a malformed graph raises here, as on every walk
         return [Component((label,), ()) for label, _parity in g.nodes()]
     subset = tuple(sorted(colors))
     labels = next(_bubble_table(g, [subset]), ((), []))[1]  # no row at n = 0
@@ -536,7 +541,7 @@ def to_stranded(g: ColoredGraph) -> StrandedGraph:
     both.  Half-edge labels are ``<vertex>:<color>``.  All strand
     permutations are the identity: colored graphs carry no twists.
     """
-    _inverses(g)  # a malformed graph raises here
+    g._inverses  # a malformed graph raises here
     vertices = tuple(
         StrandedVertex(label, tuple(f"{label}:{c}" for c in g.colors))
         for label, _parity in g.nodes()

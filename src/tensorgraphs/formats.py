@@ -27,7 +27,6 @@ import json
 from .core import (
     ColoredGraph,
     StrandedGraph,
-    _inverses,
     build_colored,
     build_stranded,
     identity_permutation,
@@ -138,7 +137,7 @@ def parse_graph(document: bytes | str) -> ColoredGraph | StrandedGraph:
 def _document(g: ColoredGraph | StrandedGraph) -> dict:
     """The document of ``g``; insertion order is the canonical key order."""
     if isinstance(g, ColoredGraph):
-        _inverses(g)  # a malformed graph raises here, not when its document is read back
+        g._inverses  # a malformed graph raises here, not when its document is read back
         return {
             "format": COLORED_FORMAT,
             "version": FORMAT_VERSION,
@@ -183,7 +182,7 @@ def export_dot(g: ColoredGraph | StrandedGraph) -> bytes:
     edge ``color`` attribute carrying the color id."""
     lines = ["graph tensorgraph {"]
     if isinstance(g, ColoredGraph):
-        _inverses(g)  # a malformed graph raises here
+        g._inverses  # a malformed graph raises here
         for label in g.whites:
             lines.append(f"  {_quote(label)} [shape=circle, style=solid];")
         for label in g.blacks:

@@ -36,7 +36,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
-from .core import ColoredGraph, _connected, _triple_counts
+from .core import ColoredGraph, _connected, _inverse, _triple_counts
 from .errors import AttemptsExhausted, BadParameters
 
 GENERATOR_ID = "splitmix64/fisher-yates/v1"
@@ -218,6 +218,7 @@ def _sample_stats(g: ColoredGraph) -> tuple[int, tuple[int, ...], bool]:
     """Faces, bubble genera and connectivity of one graph, as counts.  A
     triple that is one bubble makes the graph connected; only when no
     triple is one are all colors' orbits taken."""
+    g.__dict__["_inverses"] = list(map(_inverse, g.matchings))  # Fisher-Yates made permutations
     faces, genera, one_bubble = _triple_counts(g)
     return faces, genera, one_bubble or _connected(g)
 

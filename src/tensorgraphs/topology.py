@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .core import (
-    ColoredEdge, ColoredGraph, StrandSlot, StrandedGraph, _cycle_roots, _face_steps, _inverses,
+    ColoredEdge, ColoredGraph, StrandSlot, StrandedGraph, _cycle_roots, _face_steps,
     _slot_labels)
 from .errors import BadParameters, ColorOutOfRange, Disconnected, NegativeGenus, OddEuler
 
@@ -123,7 +123,7 @@ def pair_cycle_count(g: ColoredGraph, a: int, b: int) -> int:
         raise ColorOutOfRange(f"color pair ({a}, {b}) outside 0..{g.rank}")
     if a == b:
         raise BadParameters(f"a color pair needs two distinct colors, got {a} twice")
-    inverse = _inverses(g)[max(a, b)]
+    inverse = g._inverses[max(a, b)]
     return len(_cycle_roots([inverse[j] for j in g.matchings[min(a, b)]]))
 
 

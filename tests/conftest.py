@@ -4,7 +4,8 @@ import signal
 
 import pytest
 
-from tensorgraphs import ColoredGraph, SplitMix64, build_colored, build_stranded
+from tensorgraphs import (
+    ColoredGraph, SplitMix64, build_colored, build_stranded, random_colored, to_stranded)
 
 
 class DeadlineExceeded(Exception):
@@ -59,6 +60,21 @@ def melonic(rank, n, seed):
         rows[c][i] = m
     return ColoredGraph(rank, tuple(f"w{i}" for i in range(n)), tuple(f"b{j}" for j in range(n)),
                         tuple(map(tuple, rows)))
+
+
+def planted(n, seed):
+    """``to_stranded(random_colored(3, n, seed))`` with one planted defect,
+    for n >= 2: the color-3 edge at the last white and the color-2 edge at
+    the second-to-last white swap their black half-edges.  Both deciders
+    answer no on it, with MO walks of 12 edges at n = 1000 (seed 3) and 16
+    at n = 4000."""
+    s = to_stranded(random_colored(3, n, seed))
+    ends = [e.halfedges for e in s.edges]  # color c at white i is edge c*n + i
+    a, b = 4 * n - 1, 3 * n - 2
+    (white_a, black_a), (white_b, black_b) = ends[a], ends[b]
+    ends[a], ends[b] = (white_a, black_b), (white_b, black_a)
+    return build_stranded(3, [(v.label, v.halfedges) for v in s.vertices],
+                          [(pair, None) for pair in ends])
 
 
 @pytest.fixture

@@ -33,7 +33,7 @@ from tensorgraphs.cli import run
 from tensorgraphs.errors import TwistedInput, WrongRank
 from tensorgraphs.sampling import random_colored, subseed
 
-from .conftest import dihedral_stranded, make_dipoles, make_tadpoles
+from .conftest import dihedral_stranded, make_dipoles, make_tadpoles, planted
 from .test_core import colored_graphs
 
 
@@ -326,6 +326,17 @@ class TestLargeAndAdversarial:
         result = colorability(s)
         assert time.perf_counter() - start < 0.5
         assert not result.colorable
+
+    @pytest.mark.parametrize("n", [10, 100, 1000, 4000])
+    def test_planted_defect_is_negative_for_both(self, n):
+        """A colored expansion with two black half-edges swapped is neither
+        multi-orientable nor colorable; the MO walk is a certificate."""
+        s = planted(n, 3)
+        result = mo_admissibility(s, ALTERNATING)
+        assert not result.admissible
+        assert_mo_certificate(s, ALTERNATING, result.obstruction)
+        assert colorability(s) == (
+            False, None, "no edge coloring reads cyclically consecutive colors at every vertex")
 
 
 def _small_stranded(rng, rank, twists):

@@ -185,6 +185,9 @@ class TestEmptyAtLargeRank:
         assert peak < 1_000_000
 
 
+GENUS_USAGE = "usage: tensorgraphs genus [-h] [--json] (file | --counts V E F)"
+
+
 class TestGenus:
     def test_counts_anchor(self):
         result = run(["genus", "--counts", "2", "3", "1", "--json"])
@@ -231,8 +234,15 @@ class TestGenus:
         assert result.exit_code == 1
         assert "OddEuler" in result.report
 
-    def test_no_input_rejected(self):
+    def test_no_input_rejected(self, capsys):
         assert run(["genus"]).exit_code == 2
+        assert capsys.readouterr().err.splitlines()[0] == GENUS_USAGE
+
+    def test_help_shows_file_or_counts(self, capsys):
+        """The usage line shows that exactly one of FILE and --counts is read;
+        argparse drew both as optional."""
+        assert run(["genus", "--help"]) == (0, "")
+        assert capsys.readouterr().out.splitlines()[0] == GENUS_USAGE
 
     def test_file_and_counts_rejected(self, corpus, capsys):
         """FILE and --counts exclude each other: argparse rejects both at once
@@ -348,29 +358,45 @@ class TestExitContract:
         for (command, name), code in expected.items():
             assert run([command, corpus[name]]).exit_code == code, (command, name)
 
-    @pytest.mark.parametrize("document, message", [
+    @pytest.mark.parametrize("document, error, message", [
         ({"format": "colored-tensor-graph", "version": 1, "rank": 2, "whites": ["x"],
-          "blacks": ["x"], "edges": []}, "vertex label 'x' declared twice"),
+          "blacks": ["x"], "edges": []}, "BadParameters", "vertex label 'x' declared twice"),
         ({"format": "colored-tensor-graph", "version": 1, "rank": 1, "whites": [], "blacks": [],
-          "edges": []}, "rank must be >= 2, got 1"),
+          "edges": []}, "BadParameters", "rank must be >= 2, got 1"),
         ({"format": "stranded-tensor-graph", "version": 1, "rank": 2,
           "vertices": [{"id": "u", "halfedges": ["h0", "h1", "h2"]},
                        {"id": "v", "halfedges": ["h0", "k1", "k2"]}],
-          "edges": []}, "half-edge label 'h0' declared twice"),
+          "edges": []}, "BadParameters", "half-edge label 'h0' declared twice"),
         ({"format": "stranded-tensor-graph", "version": 1, "rank": 3,
           "vertices": [{"id": "v", "halfedges": ["h0", "h1", "h2", "h3"]}],
           "edges": [{"halfedges": ["h0", "h9"]}, {"halfedges": ["h2", "h3"]}]},
-         "edge references undeclared half-edge 'h9'"),
-    ], ids=["duplicate-label", "rank-1", "duplicate-halfedge", "undeclared-halfedge"])
-    def test_rejected_document_exits_1(self, tmp_path, document, message):
-        """A document that a builder rejects with BadParameters is an invalid
-        graph for every FILE command, not a usage error."""
+         "BadParameters", "edge references undeclared half-edge 'h9'"),
+        ({"format": "colored-tensor-graph", "version": 1, "rank": 2, "whites": ["w"],
+          "blacks": ["b"], "edges": [{"color": c, "white": "w", "black": "b"} for c in (0, 1, 1)]},
+         "DuplicateColorAtVertex", "color 1 repeated at white 'w'"),
+        ({"format": "colored-tensor-graph", "version": 1, "rank": 2, "whites": ["w"],
+          "blacks": ["b"], "edges": [{"color": c, "white": "w", "black": "b"} for c in (0, 1)]},
+         "MissingColorAtVertex", "white 'w' has no edge of color 2"),
+        ({"format": "stranded-tensor-graph", "version": 1, "rank": 3,
+          "vertices": [{"id": "v", "halfedges": ["h0", "h1", "h2", "h3"]}],
+          "edges": [{"halfedges": ["h0", "h1"]}]},
+         "DanglingHalfEdge", "half-edges in no edge (open legs): 'h2', 'h3'"),
+        ({"format": "stranded-tensor-graph", "version": 1, "rank": 3,
+          "vertices": [{"id": "v", "halfedges": ["h0", "h1", "h2", "h3"]}],
+          "edges": [{"halfedges": ["h0", "h1"]}, {"halfedges": ["h1", "h2"]}]},
+         "HalfEdgeReused", "half-edge 'h1' appears in more than one edge"),
+    ], ids=["duplicate-label", "rank-1", "duplicate-halfedge", "undeclared-halfedge",
+            "duplicate-color", "missing-color", "dangling-halfedge", "reused-halfedge"])
+    def test_rejected_document_exits_1(self, tmp_path, document, error, message):
+        """A document that a builder rejects is an invalid graph for every FILE
+        command, whatever the error's type: BadParameters, which also marks
+        bad flags, is no usage error here."""
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(document))
-        assert run(["validate", str(path)]) == (1, f"invalid: BadParameters: {message}")
+        assert run(["validate", str(path)]) == (1, f"invalid: {error}: {message}")
         for command in (["faces"], ["bubbles"], ["dual"], ["genus"], ["check", "colorable"],
                         ["check", "mo"], ["export-dot"]):
-            assert run(command + [str(path)]) == (1, f"invalid graph: BadParameters: {message}")
+            assert run(command + [str(path)]) == (1, f"invalid graph: {error}: {message}")
 
     def test_internal_fault_exits_3(self, corpus, monkeypatch):
         def fail(*_args):

@@ -28,6 +28,7 @@ from tensorgraphs import (
     is_untwisted,
     mo_admissibility,
     pair_cycle_count,
+    parse_graph,
     random_colored,
     serialize_graph,
     stranded_components,
@@ -49,8 +50,10 @@ from tensorgraphs.errors import (
     WrongValence,
 )
 from tensorgraphs.render import bubbles_report, faces_report
+from tensorgraphs.sampling import _sampler
 
-from .conftest import deadline
+from .conftest import deadline, melonic
+from .test_reports import escaped_colored
 
 
 @st.composite
@@ -570,6 +573,63 @@ class TestColoredDirectConstruction:
                 with raises_exactly(
                         BadParameters, f"graph fails validation: {report.violations[0].message}"):
                     entry(g)
+
+
+def count_checks(monkeypatch):
+    """The graphs that ``core._checked`` runs on from now on, in call order."""
+    calls = []
+    checked = core._checked
+    monkeypatch.setattr(core, "_checked", lambda g: calls.append(g) or checked(g))
+    return calls
+
+
+class TestHandedOverInverses:
+    """build_colored and the census hand over the inverses their own checks
+    built, so no walk checks their graphs again; each handed-over list
+    equals what the checking pass builds."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=60),
+           st.integers(min_value=0, max_value=(1 << 64) - 1))
+    def test_sampled_matchings_are_permutations(self, rank, n, seed):
+        g = _sampler(rank, n)(seed)
+        violations, inverses = core._checked(g)
+        assert violations == [] and list(map(core._inverse, g.matchings)) == inverses
+        assert "_inverses" not in vars(g)  # random_colored keeps no cache
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(colored_graphs(), escaped_colored(),
+                     st.builds(melonic, st.integers(min_value=2, max_value=5),
+                               st.integers(min_value=1, max_value=60),
+                               st.integers(min_value=0, max_value=1 << 32))))
+    def test_builder_inverses_equal_the_checking_pass(self, g):
+        built = build_colored(g.rank, g.whites, g.blacks, list(g.edges()))
+        assert ("_inverses" in vars(built)) == (built.n > 0)  # at n = 0 none is kept
+        assert built._inverses == core._checked(built._replace())[1]
+
+    def test_handed_over_graphs_are_not_checked_again(self, monkeypatch):
+        document = serialize_graph(random_colored(3, 30, 4))
+        calls = count_checks(monkeypatch)
+        g = parse_graph(document)
+        faces_report(g, True)
+        faces_report(g, False)
+        census(3, 50, 3, 1)
+        assert calls == []
+
+    def test_valid_graph_is_checked_on_first_walk_only(self, monkeypatch):
+        g = ColoredGraph(3, W2, B2, ((0, 1), (1, 0), (0, 1), (1, 0)))
+        calls = count_checks(monkeypatch)
+        assert [bicolored_face_count(g) for _ in range(2)] == [8, 8]
+        assert calls == [g]
+
+    def test_invalid_graph_is_checked_on_every_walk(self, monkeypatch):
+        g = ColoredGraph(3, W2, B2, ((0, 1), (1, 1), (0, 1), (0, 1)))
+        calls = count_checks(monkeypatch)
+        for walks in (1, 2):
+            with raises_exactly(BadParameters, "graph fails validation: "
+                                "color 1 repeated at black 'b1'"):
+                bicolored_face_count(g)
+            assert calls == [g] * walks
 
 
 class TestRecords:
