@@ -313,7 +313,7 @@ def colorability(s: StrandedGraph) -> ColorabilityResult:
     whites = [i for i, label in enumerate(labels) if not label[2]]
     blacks = [i for i, label in enumerate(labels) if label[2]]
     place = {i: j for members in (whites, blacks) for j, i in enumerate(members)}
-    rows: list[list[int]] = [[-1] * len(whites) for _ in range(m)]
+    rows: list[list[int]] = [[-1] * len(whites) for _ in range(m)] if whites else [[]] * m
     for h1, h2 in ends:
         u, p, v = h1 // m, h1 % m, h2 // m
         orient, offset, black = labels[u]

@@ -4,7 +4,9 @@ A colored graph of rank D is a bipartite (D+1)-regular multigraph whose
 edges carry colors 0..D, every vertex meeting each color exactly once.
 It is stored as one perfect matching per color between the white and the
 black vertex class: ``matchings[c][i] == j`` says the color-c edge at
-white ``whites[i]`` ends at black ``blacks[j]``.
+white ``whites[i]`` ends at black ``blacks[j]``.  Its stranded form
+relabels the matchings: half-edge ``<vertex>:<color>`` at position =
+color, the edges by color then white, every gluing the identity.
 
 A stranded graph makes the strand structure explicit.  Every vertex has
 D+1 half-edges in cyclic order; every half-edge carries D strand slots,
@@ -198,11 +200,9 @@ class StrandedGraph(_StrandedFields):
 
     @cached_property
     def halfedge_refs(self) -> dict[str, HalfEdgeRef]:
-        refs: dict[str, HalfEdgeRef] = {}
-        for v in self.vertices:
-            for pos, h in enumerate(v.halfedges):
-                refs[h] = HalfEdgeRef(v.label, pos)
-        return refs
+        self._index  # a malformed graph raises here, as on every walk
+        return {h: HalfEdgeRef(v.label, pos)
+                for v in self.vertices for pos, h in enumerate(v.halfedges)}
 
     @cached_property
     def _index(self) -> _StrandIndex:
@@ -257,11 +257,9 @@ class StrandedGraph(_StrandedFields):
 
     def slots(self) -> Iterator[StrandSlot]:
         """Every strand slot of the graph, (D+1)*D per vertex."""
-        for v in self.vertices:
-            for pos in range(self.rank + 1):
-                for slot in range(self.rank + 1):
-                    if slot != pos:
-                        yield StrandSlot(v.label, pos, slot)
+        self._index  # a malformed graph raises here, as on every walk
+        labels = _slot_labels(self.rank)
+        return (StrandSlot(v.label, pos, slot) for v in self.vertices for pos, slot in labels)
 
 
 def _slot_labels(rank: int) -> list[tuple[int, int]]:
@@ -533,25 +531,22 @@ def components(g: ColoredGraph, colors: set[int] | frozenset[int]) -> list[Compo
 
 
 def to_stranded(g: ColoredGraph) -> StrandedGraph:
-    """Expand a colored graph into its stranded form.
-
-    Every vertex lists its half-edges in color order 0..D, so position
-    equals color; white vertices read the list anti-clockwise and black
-    vertices clockwise, which is why the stored data looks the same for
-    both.  Half-edge labels are ``<vertex>:<color>``.  All strand
-    permutations are the identity: colored graphs carry no twists.
+    """Expand a colored graph into its stranded form, straight from the
+    matchings: each vertex's half-edge labels ``<vertex>:<color>`` are
+    formatted once, at position = color, and the color-c edge at white i
+    joins its label c to label c of black ``matchings[c][i]``; edges come
+    by color, then white.  White vertices read the list anti-clockwise
+    and black ones clockwise, so the stored data looks the same for both.
+    Every strand permutation is the identity: colored graphs carry no twists.
     """
     g._inverses  # a malformed graph raises here
-    vertices = tuple(
-        StrandedVertex(label, tuple(f"{label}:{c}" for c in g.colors))
-        for label, _parity in g.nodes()
-    )
-    ident = identity_permutation(g.rank)
-    edges = tuple(
-        StrandedEdge((f"{e.white}:{e.color}", f"{e.black}:{e.color}"), ident)
-        for e in g.edges()
-    )
-    return StrandedGraph(g.rank, vertices, edges)
+    labels = g.whites + g.blacks
+    halves = [tuple(f"{label}:{c}" for c in g.colors) for label in labels]
+    whites, blacks = halves[:g.n], halves[g.n:]
+    ident = identity_permutation(g.rank) if g.n else ()  # no edge: rank sizes nothing
+    edges = tuple(StrandedEdge((whites[i][c], blacks[j][c]), ident)
+                  for c, sigma in enumerate(g.matchings) for i, j in enumerate(sigma))
+    return StrandedGraph(g.rank, tuple(map(StrandedVertex, labels, halves)), edges)
 
 
 def build_stranded(
@@ -584,9 +579,8 @@ def stranded_components(s: StrandedGraph) -> list[tuple[str, ...]]:
     vertices in declaration order."""
     d = s.rank + 1
     index = s._index
-    turn = [h - h % d + (h + 1) % d for h in range(len(index.other))]
+    turn = list(range(1, len(index.other) + 1))  # h to the next half-edge of its vertex
+    turn[d - 1::d] = range(0, len(turn), d)
     root = dict(zip(index.order, _orbits([index.other, turn], len(turn))[::d]))
-    groups: dict[int, list[str]] = {}
-    for v in s.vertices:
-        groups.setdefault(root[v.label], []).append(v.label)
-    return [tuple(group) for group in groups.values()]
+    labels = [v.label for v in s.vertices]
+    return [tuple([labels[i] for i in group]) for group in _groups([root[x] for x in labels])]

@@ -184,6 +184,27 @@ class TestEmptyAtLargeRank:
         assert result == small and result.exit_code == 0
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("args, status", [(["check", "colorable"], 0), (["check", "mo"], 2)],
+                             ids=["check colorable", "check mo"])
+    def test_check_at_rank_100000(self, tmp_path, args, status):
+        """No edge, so the expansion builds no identity permutation of rank
+        entries, and the witness shares one empty row (7.4 and 5.7 MB before)."""
+        paths = []
+        for rank in (3, 10**5):
+            paths.append(tmp_path / f"empty-{rank}.json")
+            paths[-1].write_text(json.dumps({"format": "colored-tensor-graph", "version": 1,
+                                             "rank": rank, "whites": [], "blacks": [], "edges": []}))
+        run([*args, str(paths[0])])  # loads every module the command uses
+        with deadline(1):  # untraced: tracing each allocation takes 2 s here
+            assert run([*args, str(paths[1])]).exit_code == status
+        tracemalloc.start()
+        try:
+            result = run([*args, str(paths[1])])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == status and peak < 2_500_000
+
 
 GENUS_USAGE = "usage: tensorgraphs genus [-h] [--json] (file | --counts V E F)"
 

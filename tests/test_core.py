@@ -126,6 +126,17 @@ class TestBuildColored:
             tracemalloc.stop()
         assert report.valid and peak < 500_000
 
+    def test_large_rank_empty_graph_expands_in_little_memory(self):
+        # no edge, so no identity permutation of rank entries (4.8 MB before)
+        g = build_colored(10**5, [], [], [])
+        tracemalloc.start()
+        try:
+            s = to_stranded(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s == (10**5, (), ()) and peak < 1_000_000
+
     def test_quad_every_vertex_sees_every_color(self, quad):
         assert validate_colored(quad).valid
         seen = {label: set() for label, _ in quad.nodes()}
@@ -293,7 +304,41 @@ class TestComponents:
                 assert len({whole[v] for v in comp.vertices}) == 1
 
 
+def expand_by_edges(g):
+    """``to_stranded`` by its first recipe: vertices from ``g.nodes()`` and
+    edges from ``g.edges()``, each end's label formatted anew."""
+    ident = tuple(range(g.rank))
+    return StrandedGraph(
+        g.rank,
+        tuple(StrandedVertex(label, tuple(f"{label}:{c}" for c in g.colors))
+              for label, _parity in g.nodes()),
+        tuple(StrandedEdge((f"{e.white}:{e.color}", f"{e.black}:{e.color}"), ident)
+              for e in g.edges()))
+
+
+@st.composite
+def ranked_colored(draw):
+    rank = draw(st.integers(min_value=2, max_value=5))
+    return draw(st.one_of(colored_graphs(rank=rank, max_n=60),
+                          st.just(build_colored(rank, [], [], []))))
+
+
 class TestToStranded:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(ranked_colored(), escaped_colored(),
+                     st.builds(melonic, st.integers(min_value=2, max_value=5),
+                               st.integers(min_value=1, max_value=60),
+                               st.integers(min_value=0, max_value=1 << 32))))
+    def test_equals_the_edge_list_expansion(self, g):
+        s, reference = to_stranded(g), expand_by_edges(g)
+        assert s.rank == reference.rank
+        assert s.vertices == reference.vertices
+        assert s.edges == reference.edges
+        assert s._index == reference._index
+        # each half-edge label is formatted once, and both its vertex and its edge hold it
+        declared = {id(h) for v in s.vertices for h in v.halfedges}
+        assert all(id(h) in declared for e in s.edges for h in e.halfedges)
+
     def test_dipole_counts(self, dipole):
         s = to_stranded(dipole)
         assert len(s.vertices) == 2
@@ -476,7 +521,8 @@ class TestDirectConstruction:
         [(("h0", "h1"), (0, 1, 2, 3)), (("h2", "h3"), None)],  # too long
     ])
     @pytest.mark.parametrize("entry", [trace_faces, stranded_components, mo_admissibility,
-                                       colorability, is_untwisted, serialize_graph, export_dot])
+                                       colorability, is_untwisted, serialize_graph, export_dot,
+                                       lambda s: list(s.slots()), lambda s: s.halfedge_refs])
     def test_entry_points_raise_builder_errors(self, entry, edges):
         with pytest.raises(TensorGraphError) as built:
             build_stranded(3, V, edges)
@@ -486,6 +532,19 @@ class TestDirectConstruction:
             with pytest.raises(type(built.value)) as raised:
                 entry(s)
             assert str(raised.value) == str(built.value)
+
+    @pytest.mark.parametrize("vertices, error, message", [
+        # slots() once yielded 12 slots for this vertex
+        ((StrandedVertex("v", ("h0", "h1")),), WrongValence, "vertex 'v' has 2 half-edges, expected 4"),
+        # halfedge_refs once mapped 'h0' to the last vertex that declared it
+        ((StrandedVertex("u", ("h0", "h1", "h2", "h3")), StrandedVertex("v", ("h0", "h5", "h6", "h7"))),
+         BadParameters, "half-edge label 'h0' declared twice"),
+    ], ids=["valence", "repeated-half-edge"])
+    def test_slots_and_refs_check_the_vertices(self, vertices, error, message):
+        s = StrandedGraph(3, vertices, ())
+        for read in (lambda: list(s.slots()), lambda: s.halfedge_refs):
+            with raises_exactly(error, message):
+                read()
 
     def test_replaced_copy_is_checked(self, tadpole_a):
         """``_replace`` bypasses the builder too."""

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorgraphs import (
+    bicolored_face_count,
     build_stranded,
     export_dot,
     parse_graph,
@@ -253,3 +254,58 @@ class TestStrandedMutationFuzz:
         covered = [slot for face in trace_faces(g).faces for slot in face]
         assert len(covered) == len(set(covered))
         assert set(covered) == set(g.slots())
+
+
+@st.composite
+def mutated_colored_documents(draw):
+    """A valid colored document, its edges in any order, with exactly one
+    mutation applied."""
+    rank = draw(st.integers(min_value=2, max_value=4))
+    doc = json.loads(serialize_graph(draw(colored_graphs(rank=rank, max_n=4))))
+    doc["edges"] = edges = draw(st.permutations(doc["edges"]))
+    labels = doc["whites"] + doc["blacks"]
+
+    def pick(seq):
+        return seq[draw(st.integers(min_value=0, max_value=len(seq) - 1))]
+
+    kind = draw(st.sampled_from([
+        "rename white", "rename black", "move color", "drop edge", "duplicate edge",
+        "swap blacks", "declare twice", "change rank", "delete field"]))
+    if kind.startswith("rename"):  # to a declared label, of either class, or an undeclared one
+        pick(edges)[kind.split()[1]] = pick(labels + ["zz"])
+    elif kind == "move color":  # inside or outside 0..rank, or a bool
+        pick(edges)["color"] = draw(st.one_of(
+            st.integers(min_value=-2, max_value=rank + 2), st.booleans()))
+    elif kind == "drop edge":
+        edges.remove(pick(edges))
+    elif kind == "duplicate edge":
+        edges.insert(pick(range(len(edges) + 1)), dict(pick(edges)))
+    elif kind == "swap blacks":
+        e1, e2 = pick(edges), pick(edges)
+        e1["black"], e2["black"] = e2["black"], e1["black"]
+    elif kind == "declare twice":
+        declared = doc[pick(["whites", "blacks"])]
+        declared[pick(range(len(declared)))] = pick(labels)
+    elif kind == "change rank":
+        doc["rank"] += draw(st.sampled_from([-1, 1]))
+    else:
+        owner = pick([doc, pick(edges)])
+        del owner[pick(sorted(owner))]
+    return doc
+
+
+class TestColoredMutationFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_colored_documents())
+    def test_parse_rejects_or_both_routes_agree(self, doc):
+        """One mutation of a valid colored document: parse_graph either
+        raises a TensorGraphError or returns a graph whose {a, b}-cycles
+        are as many as its expansion's strand faces, and whose expansion
+        round-trips; nothing else escapes."""
+        try:
+            g = parse_graph(doc_bytes(doc))
+        except TensorGraphError:
+            return
+        s = to_stranded(g)
+        assert bicolored_face_count(g) == trace_faces(s).count
+        assert parse_graph(serialize_graph(s)) == s
