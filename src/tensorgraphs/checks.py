@@ -28,8 +28,7 @@ from __future__ import annotations
 from operator import xor
 from typing import Iterator, Mapping, NamedTuple
 
-from .core import (WHITE, ColoredGraph, HalfEdgeRef, StrandedGraph, _inverse, _orbits,
-                   identity_permutation)
+from .core import WHITE, ColoredGraph, HalfEdgeRef, StrandedGraph, _orbits, identity_permutation
 from .errors import TwistedInput, WrongRank
 
 
@@ -56,19 +55,10 @@ class SignPattern(_SignFields):
         return self.signs[(position + rotation) % len(self.signs)]
 
     def distinct_rotations(self) -> tuple[int, ...]:
-        """Rotation offsets giving distinct sign sequences, ascending.
-
-        The alternating pattern has period two, so only offsets 0 and 1
-        are kept; the block pattern keeps all four.
-        """
-        seen: set[tuple[int, ...]] = set()
-        keep = []
-        for r in range(len(self.signs)):
-            seq = tuple(self.rotated(p, r) for p in range(len(self.signs)))
-            if seq not in seen:
-                seen.add(seq)
-                keep.append(r)
-        return tuple(keep)
+        """Rotation offsets giving distinct sign sequences: 0 up to the period,
+        2 if the signs repeat after two corners, else 4 (two + and two - never
+        repeat after one)."""
+        return tuple(range(2 if self.signs[:2] == self.signs[2:] else 4))
 
 
 ALTERNATING = SignPattern("alternating", (1, -1, 1, -1))
@@ -152,7 +142,7 @@ def mo_admissibility(s: StrandedGraph, pattern: SignPattern = ALTERNATING) -> Mo
         raise TwistedInput(f"edges {list(offenders)} carry twists")
     order, ends = s._index.order, s._index.ends
 
-    if pattern.signs[0] == pattern.signs[2]:
+    if len(pattern.distinct_rotations()) == 2:  # period two
         steps: list[list[tuple[int, int, int]]] = [[] for _ in order]  # (vertex, parity, edge)
         for e, (h1, h2) in enumerate(ends):
             steps[h1 // 4].append((h2 // 4, (h1 + h2 + 1) & 1, e))
@@ -325,21 +315,10 @@ def colorability(s: StrandedGraph) -> ColorabilityResult:
 
 
 def stranded_same_structure(s1: StrandedGraph, s2: StrandedGraph) -> bool:
-    """Equality of stranded structure preserving (vertex, position) pairs,
-    ignoring half-edge labels and edge listing order."""
+    """Equal rank, then equal checked indices of both graphs: ``order`` fixes
+    the half-edge ids by (vertex, position), and the slot involution ``glue``
+    fixes each edge's ends and strands, whatever its labels, place or end order."""
     if s1.rank != s2.rank:
         return False
-    if {v.label for v in s1.vertices} != {v.label for v in s2.vertices}:
-        return False
-
-    # equal vertex label sets give equal half-edge ids for equal (vertex, position)
-    def normalized(s: StrandedGraph) -> list:
-        out = []
-        for e, (h1, h2) in zip(s.edges, s._index.ends):
-            if h2 < h1:
-                out.append((h2, h1, tuple(_inverse(e.permutation))))
-            else:
-                out.append((h1, h2, e.permutation))
-        return sorted(out)
-
-    return normalized(s1) == normalized(s2)
+    i1, i2 = s1._index, s2._index
+    return i1.order == i2.order and i1.glue == i2.glue

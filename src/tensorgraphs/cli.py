@@ -36,7 +36,6 @@ from .errors import (
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
-    from .checks import SignAssignment
     from .core import ColoredGraph, StrandedGraph
     from .sampling import CensusReport
 
@@ -197,15 +196,6 @@ def _cmd_check_colorable(args) -> CommandResult:
     return CommandResult(1, f"not colorable: {result.obstruction}")
 
 
-def _signs_by_label(s: StrandedGraph, assignment: SignAssignment) -> dict[str, str]:
-    out = {}
-    for v in s.vertices:
-        for pos, h in enumerate(v.halfedges):
-            sign = assignment.signs[(v.label, pos)]
-            out[h] = "+" if sign > 0 else "-"
-    return out
-
-
 def _cmd_check_mo(args) -> CommandResult:
     from .checks import PATTERNS, mo_admissibility
     s = _as_stranded(_load(args.file))
@@ -213,14 +203,14 @@ def _cmd_check_mo(args) -> CommandResult:
     result = mo_admissibility(s, pattern)
     if result.admissible:
         assert result.assignment is not None
-        signs = _signs_by_label(s, result.assignment)
-        rotations = dict(sorted(result.assignment.rotations.items()))
-        if args.json:
+        rotations, signs = result.assignment.rotations, result.assignment.signs
+        if args.json:  # rotations come in label order; signs are keyed by half-edge label
             return CommandResult(0, _json_report({
                 "admissible": True,
                 "pattern": pattern.name,
                 "rotations": rotations,
-                "signs": signs,
+                "signs": {h: "+" if signs[v.label, pos] > 0 else "-"
+                          for v in s.vertices for pos, h in enumerate(v.halfedges)},
             }))
         rots = " ".join(f"{k}:{v}" for k, v in rotations.items())
         return CommandResult(0, f"admissible (pattern {pattern.name})\n  rotations: {rots}")
@@ -331,7 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    "'not admissible' on a valid untwisted rank-3 graph")
 
     p = sub.add_parser("random", help="sample a random colored graph")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=int, required=True,
+                   help="rank D: the graph holds (D+1)*n matching entries")
     p.add_argument("--size", type=int, required=True, help="vertex pairs n")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--connected", action="store_true",
@@ -341,7 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_random)
 
     p = sub.add_parser("census", help="Monte Carlo census of a seeded ensemble")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=int, required=True, help="rank D: each sample composes "
+                   "C(D+1, 2) color pairs and walks C(D+1, 3) triples")
     p.add_argument("--size", type=int, required=True, help="vertex pairs n")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)

@@ -207,10 +207,17 @@ class StrandedGraph(_StrandedFields):
     @cached_property
     def _index(self) -> _StrandIndex:
         """The integer index, built by the one pass that checks closure.  It
-        raises the builder's errors: vertices in declaration order first,
-        then edges in order, then half-edges left in no edge."""
+        raises the builder's errors: the rank first, then a vertex label that
+        is not a string, then vertices in declaration order, then edges in
+        order, then half-edges left in no edge."""
         rank, d = self.rank, self.rank + 1
-        labels = [v.label for v in self.vertices]
+        if rank < 2:
+            raise BadParameters(f"rank must be >= 2, got {rank}")
+        labels = []
+        for v in self.vertices:  # only strings sort, and a document holds no other label
+            if not isinstance(v.label, str):
+                raise BadParameters(f"vertex label {v.label!r} is not a string")
+            labels.append(v.label)
         by_label = sorted(range(len(labels)), key=labels.__getitem__)  # stable: repeats adjoin
         order = tuple(labels[j] for j in by_label)
         half: dict[str, int] = {}
@@ -221,28 +228,38 @@ class StrandedGraph(_StrandedFields):
                 raise WrongValence(
                     f"vertex {v.label!r} has {len(v.halfedges)} half-edges, expected {d}")
             for x, h in enumerate(v.halfedges, i * d):
+                if not isinstance(h, str):
+                    raise BadParameters(f"half-edge label {h!r} is not a string")
                 if h in half:
                     raise BadParameters(f"half-edge label {h!r} declared twice")
                 half[h] = x
         # sized only now that every vertex holds rank + 1 labels of the graph
         ends = []
         other = [-1] * len(half)
+        strands, ints = (list(range(rank)), [int] * rank) if half else ([], [])
+        checked = None  # the last permutation checked: builders share the identity's
         for e in self.edges:
-            h1, h2 = e.halfedges
-            for h in (h1, h2):
-                if h not in half:
-                    raise BadParameters(f"edge references undeclared half-edge {h!r}")
+            try:
+                h1, h2 = e.halfedges
+            except (TypeError, ValueError):
+                raise BadParameters(f"edge {e.halfedges!r} does not join two half-edges") from None
+            try:
+                x1, x2 = half[h1], half[h2]
+            except (KeyError, TypeError):  # an undeclared label, an unhashable one too
+                h = next(h for h in (h1, h2) if not isinstance(h, str) or h not in half)
+                raise BadParameters(f"edge references undeclared half-edge {h!r}") from None
             if h1 == h2:
                 raise HalfEdgeReused(f"half-edge {h1!r} used for both ends of one edge")
-            x1, x2 = half[h1], half[h2]
             for h, x in ((h1, x1), (h2, x2)):
                 if other[x] >= 0:
                     raise HalfEdgeReused(f"half-edge {h!r} appears in more than one edge")
             other[x1], other[x2] = x2, x1
-            if sorted(e.permutation) != list(range(rank)):
-                raise BadPermutation(
-                    f"edge ({h1!r}, {h2!r}): {list(e.permutation)} is not a "
-                    f"permutation of 0..{rank - 1}")
+            if e.permutation is not checked:
+                if list(map(type, e.permutation)) != ints or sorted(e.permutation) != strands:
+                    raise BadPermutation(
+                        f"edge ({h1!r}, {h2!r}): {list(e.permutation)} is not a "
+                        f"permutation of 0..{rank - 1}")
+                checked = e.permutation
             ends.append((x1, x2))
         if 2 * len(ends) != len(half):
             names = ", ".join(repr(h) for h in sorted(h for h, x in half.items() if other[x] < 0))
@@ -284,9 +301,11 @@ def build_colored(
     reorganized into one matching per color.  Raises on the first
     offending element:
 
+    - BadParameters for a rank below 2, or a vertex label that is not a
+      string or is declared twice
     - UnequalParts if the vertex classes differ in size
     - UnknownNode / ColorOutOfRange for an edge referencing undeclared
-      vertices or colors
+      vertices, or a color that is not an int in 0..rank
     - DuplicateColorAtVertex / MissingColorAtVertex if some vertex does
       not see every color exactly once
     """
@@ -298,6 +317,8 @@ def build_colored(
         raise UnequalParts(f"{len(whites)} white vertices vs {len(blacks)} black")
     seen: set[str] = set()
     for label in whites + blacks:
+        if not isinstance(label, str):
+            raise BadParameters(f"vertex label {label!r} is not a string")
         if label in seen:
             raise BadParameters(f"vertex label {label!r} declared twice")
         seen.add(label)
@@ -310,8 +331,9 @@ def build_colored(
 
     rows: dict[int, tuple[list[int | None], list[int | None]]] = {}  # color -> (row, inverse)
     for color, white, black in edges:
-        if not 0 <= color <= rank:
-            raise ColorOutOfRange(f"color {color} outside 0..{rank} on edge ({white!r}, {black!r})")
+        if not isinstance(color, int) or not 0 <= color <= rank:
+            raise ColorOutOfRange(
+                f"color {color!r} outside 0..{rank} on edge ({white!r}, {black!r})")
         if white not in widx:
             raise UnknownNode(f"edge of color {color} references unknown white {white!r}")
         if black not in bidx:
@@ -347,11 +369,15 @@ def _checked(g: ColoredGraph) -> tuple[list[Violation], list[list[int]]]:
         violations.append(Violation(
             "UnequalParts", "graph",
             f"{len(g.whites)} white vertices vs {len(g.blacks)} black"))
-    seen: dict[str, str] = {}
+    seen: set[str] = set()
     for label in g.whites + g.blacks:
-        if label in seen:
+        if not isinstance(label, str):
+            violations.append(Violation(
+                "BadLabel", repr(label), f"label {label!r} is not a string"))
+        elif label in seen:
             violations.append(Violation("DuplicateLabel", label, f"label {label!r} used twice"))
-        seen[label] = label
+        else:
+            seen.add(label)
     n = len(g.whites)
     if len(g.matchings) != g.rank + 1:
         violations.append(Violation(
@@ -366,10 +392,10 @@ def _checked(g: ColoredGraph) -> tuple[list[Violation], list[list[int]]]:
                 f"matching for color {c} covers {len(sigma)} whites, expected {n}"))
             continue
         for i, j in enumerate(sigma):
-            if not 0 <= j < n:  # a negative target would index from the end
+            if not isinstance(j, int) or not 0 <= j < n:  # a negative one indexes from the end
                 violations.append(Violation(
                     "UnknownNode", f"color {c}, white {g.whites[i]!r}",
-                    f"matching target {j} out of range"))
+                    f"matching target {j!r} out of range"))
             elif inverse[j] >= 0:
                 violations.append(Violation(
                     "DuplicateColorAtVertex", g.blacks[j],
@@ -559,10 +585,10 @@ def build_stranded(
     ``vertices`` lists (label, cyclic half-edge labels); ``edges`` lists
     ((half-edge, half-edge), strand permutation), where ``None`` stands
     for the identity permutation.  Open legs are rejected: every
-    half-edge must occur in exactly one edge end.
+    half-edge must occur in exactly one edge end.  As in a document,
+    labels are strings and strand entries ints (not bools); ``_index``
+    raises on the first fault, the rank's first.
     """
-    if rank < 2:
-        raise BadParameters(f"rank must be >= 2, got {rank}")
     built = tuple(StrandedVertex(label, tuple(halfedges)) for label, halfedges in vertices)
     # built only under a vertex of rank + 1 half-edges, which _index checks before any edge
     ident = identity_permutation(rank) if built and len(built[0].halfedges) == rank + 1 else ()

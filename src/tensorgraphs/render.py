@@ -49,6 +49,7 @@ def _flat(records: Iterable[list[str]], sep: str) -> tuple[list[str], int]:
 def _colored_faces(g: ColoredGraph, as_json: bool) -> Iterator[list[str]]:
     head, mid, between, end = _COLORED_JSON if as_json else _COLORED_TEXT
     head, between, end = cache(head.format), cache(between.format), cache(end.format)
+    g._inverses  # a malformed graph raises here, before its labels are quoted
     whites, blacks = (list(map(_quote if as_json else str, vs)) for vs in (g.whites, g.blacks))
     for a, b, cycle in _colored_face_walks(g):
         # the a-edge at cycle[t], then the b-edge at cycle[t + 1]: both reach sigma_a(cycle[t])
@@ -93,6 +94,7 @@ def bubbles_report(g: ColoredGraph, as_json: bool) -> str:
     with its ribbon counts, then the totals and the genus histogram."""
     from .bubbles import _bubble_records
     head, tail = (cache(part.format) for part in (_BUBBLE_JSON if as_json else _BUBBLE_TEXT))
+    g._inverses  # a malformed graph raises here, before its labels are quoted
     labels = [f"        {_quote(v)}" for v in (*g.whites, *g.blacks)] if as_json else []
     genera: Counter[int] = Counter()
 

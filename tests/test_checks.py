@@ -15,6 +15,8 @@ from tensorgraphs import (
     SignAssignment,
     SignPattern,
     StrandedEdge,
+    StrandedGraph,
+    StrandedVertex,
     build_colored,
     build_stranded,
     colorability,
@@ -30,11 +32,12 @@ from tensorgraphs import (
 )
 from tensorgraphs.checks import _propagate
 from tensorgraphs.cli import run
-from tensorgraphs.errors import TwistedInput, WrongRank
+from tensorgraphs.errors import TwistedInput, WrongRank, WrongValence
 from tensorgraphs.sampling import random_colored, subseed
 
 from .conftest import dihedral_stranded, make_dipoles, make_tadpoles, planted
 from .test_core import colored_graphs
+from .test_reports import escaped_colored
 
 
 def with_twist(stranded, edge_index, perm):
@@ -270,6 +273,96 @@ class TestInclusion:
         assert stranded_same_structure(to_stranded(recovered.witness), s)
 
 
+def same_structure_by_sorting(s1, s2):
+    """``stranded_same_structure`` by the recipe it used before it read the
+    checked index: equal ranks and vertex label sets, then equal sorted
+    lists of edges, each as its (vertex, position) ends, the lesser first,
+    and its strand permutation, inverted where the ends were turned."""
+    if s1.rank != s2.rank:
+        return False
+    if {v.label for v in s1.vertices} != {v.label for v in s2.vertices}:
+        return False
+
+    def normalized(s):
+        out = []
+        for e in s.edges:
+            r1, r2 = (s.halfedge_refs[h] for h in e.halfedges)
+            out.append((r1, r2, e.permutation) if r1 < r2 else (r2, r1, inverted(e.permutation)))
+        return sorted(out)
+
+    return normalized(s1) == normalized(s2)
+
+
+def inverted(perm):
+    inverse = [0] * len(perm)
+    for k, j in enumerate(perm):
+        inverse[j] = k
+    return tuple(inverse)
+
+
+def restated(s, rng):
+    """The same structure told differently: fresh half-edge labels,
+    vertices and edges shuffled, and about half the edges listed from
+    their other end, with their strand permutation inverted."""
+    halves = [h for v in s.vertices for h in v.halfedges]
+    fresh = rng.sample(range(len(halves)), len(halves))
+    name = {h: f"x{k}" for h, k in zip(halves, fresh)}
+    vertices = [(v.label, [name[h] for h in v.halfedges]) for v in s.vertices]
+    edges = []
+    for (h1, h2), perm in s.edges:
+        turn = rng.random() < 0.5
+        edges.append(((name[h2], name[h1]), inverted(perm)) if turn else ((name[h1], name[h2]), perm))
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return build_stranded(s.rank, vertices, edges)
+
+
+def mutated(s, kind, rng):
+    """``s`` after one change of structure: two edges exchange their second
+    ends, one strand permutation changes, or one vertex is renamed."""
+    vertices, edges = list(s.vertices), list(s.edges)
+    if kind == "exchange":
+        a, b = rng.sample(range(len(edges)), 2)
+        (h1, h2), (k1, k2) = edges[a].halfedges, edges[b].halfedges
+        edges[a] = edges[a]._replace(halfedges=(h1, k2))
+        edges[b] = edges[b]._replace(halfedges=(k1, h2))
+    elif kind == "permutation":
+        e = rng.randrange(len(edges))
+        edges[e] = edges[e]._replace(permutation=rng.choice(
+            [p for p in itertools.permutations(range(s.rank)) if p != edges[e].permutation]))
+    else:
+        i = rng.randrange(len(vertices))
+        taken, label = {v.label for v in vertices}, vertices[i].label
+        while label in taken:
+            label += "'"
+        vertices[i] = vertices[i]._replace(label=label)
+    return build_stranded(s.rank, vertices, edges)
+
+
+@st.composite
+def structure_pairs(draw):
+    """(s, t, kind): ``s`` is a planted-defect graph or a colored expansion,
+    in half the cases with random strand permutations on about a third of
+    its edges; ``t`` restates it ("same"), restates it after one mutation,
+    or is it at another rank."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=1 << 32)))
+    s = draw(st.one_of(
+        st.builds(planted, st.integers(min_value=2, max_value=12),
+                  st.integers(min_value=0, max_value=1 << 32)),
+        st.integers(min_value=2, max_value=4).flatmap(
+            lambda rank: colored_graphs(rank=rank, max_n=5)).map(to_stranded),
+        escaped_colored().map(to_stranded)))
+    if draw(st.booleans()):
+        s = build_stranded(s.rank, s.vertices, [
+            (e.halfedges, rng.sample(range(s.rank), s.rank) if rng.random() < 1 / 3 else None)
+            for e in s.edges])
+    kinds = ["same", "rank"] + ["rename"] * bool(s.vertices) + ["permutation"] * bool(s.edges)
+    kind = draw(st.sampled_from(kinds + ["exchange"] * (len(s.edges) >= 2)))
+    if kind == "rank":
+        return s, s._replace(rank=s.rank + 1), kind
+    return s, restated(s if kind == "same" else mutated(s, kind, rng), rng), kind
+
+
 class TestSameStructure:
     def test_other_rank_differs(self):
         dipoles = [build_colored(rank, ["w1"], ["b1"], [(c, "w1", "b1") for c in range(rank + 1)])
@@ -280,6 +373,45 @@ class TestSameStructure:
         renamed = build_colored(3, ["w2"], ["b1"], [(c, "w2", "b1") for c in range(4)])
         assert stranded_same_structure(to_stranded(dipole), to_stranded(dipole))
         assert not stranded_same_structure(to_stranded(dipole), to_stranded(renamed))
+
+    def test_both_graphs_are_checked(self, dipole):
+        """Graphs of one rank are compared by their checked indices, so a
+        malformed one raises, though its vertex labels differ."""
+        malformed = StrandedGraph(3, (StrandedVertex("v", ("h0", "h1")),), ())
+        for pair in [(to_stranded(dipole), malformed), (malformed, to_stranded(dipole))]:
+            with pytest.raises(WrongValence):
+                stranded_same_structure(*pair)
+
+    @settings(max_examples=200, deadline=None)
+    @given(structure_pairs())
+    def test_equals_the_sorting_recipe(self, pair):
+        s, t, kind = pair
+        assert same_structure_by_sorting(s, t) == (kind == "same")
+        assert stranded_same_structure(s, t) == stranded_same_structure(t, s) == (kind == "same")
+
+
+def rotations_by_enumeration(pattern):
+    """``distinct_rotations`` by the enumeration it used before it read the
+    period: each rotation whose sign sequence is new, ascending."""
+    seen, keep = set(), []
+    for r in range(len(pattern.signs)):
+        seq = tuple(pattern.rotated(p, r) for p in range(len(pattern.signs)))
+        if seq not in seen:
+            seen.add(seq)
+            keep.append(r)
+    return tuple(keep)
+
+
+class TestDistinctRotations:
+    """Every valid pattern against the enumeration: the brute-force MO oracle
+    ``_first_signing`` reads ``distinct_rotations``, so it cannot catch a
+    wrong period there."""
+
+    @pytest.mark.parametrize("signs", sorted(set(itertools.permutations((1, 1, -1, -1)))))
+    def test_matches_enumeration(self, signs):
+        pattern = SignPattern("any", signs)
+        assert pattern.distinct_rotations() == rotations_by_enumeration(pattern)
+        assert len(pattern.distinct_rotations()) == (2 if signs[0] == signs[2] else 4)
 
 
 class TestLargeAndAdversarial:

@@ -32,6 +32,7 @@ from tensorgraphs import (
     random_colored,
     serialize_graph,
     stranded_components,
+    stranded_same_structure,
     to_stranded,
     trace_faces,
     validate_colored,
@@ -178,6 +179,14 @@ class TestBuildColored:
         (DuplicateColorAtVertex, "color 2 repeated at black 'b1'",
          2, ["w1", "w2"], ["b1", "b2"],
          [(2, "w1", "b1"), (2, "w2", "b1"), (0, "w1", "b2"), (0, "w2", "b2"), (1, "w1", "b1")]),
+        # a label that is not a string, which no document can hold, is named in
+        # declaration order with the repeated ones
+        (BadParameters, "vertex label 1 is not a string", 3, [1], [2], [(0, 1, 2)]),
+        (BadParameters, "vertex label None is not a string",
+         3, ["w1", None], ["w1", "b2"], [(7, "w1", "w1")]),
+        # a color that is not an int is out of range, not a crash
+        (ColorOutOfRange, "color '1' outside 0..3 on edge ('w1', 'b1')",
+         3, ["w1"], ["b1"], [("1", "w1", "b1")]),
     ])
     def test_first_fault_wins(self, error, message, rank, whites, blacks, edges):
         with raises_exactly(error, message):
@@ -263,6 +272,22 @@ class TestValidateColored:
         (ColoredGraph(2, ("w0",), ("b0",), ((0,), (0,), (1,))), [
             ("UnknownNode", "color 2, white 'w0'", "matching target 1 out of range"),
             ("MissingColorAtVertex", "b0", "black 'b0' has no edge of color 2")]),
+        # targets and labels of the wrong type are violations; they raised TypeError,
+        # or passed and were written to a document that parse_graph rejects
+        (ColoredGraph(3, W2, B2, ((0, 1), (0.0, 1), (0, 1), (0, 1))), [
+            ("UnknownNode", "color 1, white 'w0'", "matching target 0.0 out of range"),
+            ("MissingColorAtVertex", "b0", "black 'b0' has no edge of color 1")]),
+        (ColoredGraph(3, W2, B2, ((0, 1), (1, "0"), (None, 0), (0, 1))), [
+            ("UnknownNode", "color 1, white 'w1'", "matching target '0' out of range"),
+            ("MissingColorAtVertex", "b0", "black 'b0' has no edge of color 1"),
+            ("UnknownNode", "color 2, white 'w0'", "matching target None out of range"),
+            ("MissingColorAtVertex", "b1", "black 'b1' has no edge of color 2")]),
+        (ColoredGraph(3, ("w0", 1), ("b0", None), ((0, 1),) * 4), [
+            ("BadLabel", "1", "label 1 is not a string"),
+            ("BadLabel", "None", "label None is not a string")]),
+        (ColoredGraph(3, (["w0"], "w0"), ("w0", "b1"), ((0, 1),) * 4), [
+            ("BadLabel", "['w0']", "label ['w0'] is not a string"),
+            ("DuplicateLabel", "w0", "label 'w0' used twice")]),
     ])
     def test_pinned_reports(self, g, violations):
         assert validate_colored(g) == (False, tuple(violations))
@@ -495,11 +520,37 @@ class TestBuildStranded:
         # the rank is checked before everything
         (BadParameters, "rank must be >= 2, got 1",
          [("v", ["h0"]), ("v", [])], [(("zz", "zz"), None)]),
+        # a vertex label that is not a string wins over every other vertex fault,
+        # since labels are sorted before the vertices are read
+        (BadParameters, "vertex label 3 is not a string",
+         [("a", ["a0"]), (3, ["b0", "b1", "b2", "b3"]), (None, [])], []),
+        # a half-edge label that is not a string is named in declaration order
+        (BadParameters, "half-edge label 5 is not a string", [("v", ["h0", 5, "h0", "h3"])], []),
+        (BadParameters, "half-edge label ('h1',) is not a string",
+         [("v", ["h0", ("h1",), "h2", "h3"])], [(("h0", "h1"), None)]),
+        # an edge is checked for two ends before anything else of it
+        (BadParameters, "edge ('h0', 'h1', 'h2') does not join two half-edges",
+         V, [(("h0", "h1", "h2"), [9])]),
+        (BadParameters, "edge references undeclared half-edge ['h1']",
+         V, [(("h0", ["h1"]), None), (("h2", "h3"), None)]),
+        # strand entries must be ints, like a document's, and are checked with
+        # the permutation: before a reused half-edge on the next edge
+        (BadPermutation, "edge ('h0', 'h1'): [0, 1, 2.0] is not a permutation of 0..2",
+         V, [(("h0", "h1"), [0, 1, 2.0]), (("h1", "h2"), None)]),
+        (BadPermutation, "edge ('h0', 'h1'): [True, False, 2] is not a permutation of 0..2",
+         V, [(("h0", "h1"), [True, False, 2]), (("h2", "h3"), None)]),
+        (BadPermutation, "edge ('h0', 'h1'): [0, 'a', 1] is not a permutation of 0..2",
+         V, [(("h0", "h1"), [0, "a", 1]), (("h2", "h3"), None)]),
     ])
     def test_first_fault_wins(self, error, message, vertices, edges):
         rank = 1 if message.startswith("rank") else 3
         with raises_exactly(error, message):
             build_stranded(rank, vertices, edges)
+
+
+STRANDED_ENTRIES = [trace_faces, stranded_components, mo_admissibility, colorability,
+                    is_untwisted, serialize_graph, export_dot, lambda s: s.halfedge_refs,
+                    lambda s: stranded_same_structure(s, s)]
 
 
 class TestDirectConstruction:
@@ -519,6 +570,11 @@ class TestDirectConstruction:
         [(("h0", "h1"), None)],  # dangling
         [(("h0", "h1"), (0, 0, 1)), (("h2", "h3"), None)],  # not a permutation
         [(("h0", "h1"), (0, 1, 2, 3)), (("h2", "h3"), None)],  # too long
+        [(("h0", "h1", "h2"), None), (("h3", "h3"), None)],  # three ends
+        [(("h0",), None), (("h1", "h2"), None)],  # one end
+        [(("h0", ["h1"]), None), (("h2", "h3"), None)],  # an end that is not a string
+        [(("h0", "h1"), (0, 1, 2.0)), (("h2", "h3"), None)],  # a float entry
+        [(("h0", "h1"), (True, False, 2)), (("h2", "h3"), None)],  # bool entries
     ])
     @pytest.mark.parametrize("entry", [trace_faces, stranded_components, mo_admissibility,
                                        colorability, is_untwisted, serialize_graph, export_dot,
@@ -545,6 +601,27 @@ class TestDirectConstruction:
         for read in (lambda: list(s.slots()), lambda: s.halfedge_refs):
             with raises_exactly(error, message):
                 read()
+
+    @pytest.mark.parametrize("vertices, message", [
+        ([(1, ("h0", "h1", "h2", "h3"))], "vertex label 1 is not a string"),
+        ([("u", ("h0", "h1", "h2", "h3")), (2, ("h4", "h5", "h6", "h7"))],
+         "vertex label 2 is not a string"),  # once a TypeError, sorting 'u' and 2
+        ([("v", ("h0", 1, "h2", "h3"))], "half-edge label 1 is not a string"),
+        ([("v", ("h0", ["h1"], "h2", "h3"))], "half-edge label ['h1'] is not a string"),
+    ], ids=["int-vertex", "mixed-vertices", "int-half-edge", "list-half-edge"])
+    @pytest.mark.parametrize("entry", STRANDED_ENTRIES)
+    def test_labels_must_be_strings(self, entry, vertices, message):
+        """A document holds only string labels, so serialize_graph once wrote
+        one that parse_graph rejects, or sorting the labels raised TypeError."""
+        halves = [h for _v, hs in vertices for h in hs]
+        edges = [((a, b), None) for a, b in zip(halves[::2], halves[1::2])]
+        with raises_exactly(BadParameters, message):
+            build_stranded(3, vertices, edges)
+        s = StrandedGraph(3, tuple(StrandedVertex(v, hs) for v, hs in vertices),
+                          tuple(StrandedEdge(ends, (0, 1, 2)) for ends, _perm in edges))
+        for _ in range(2):
+            with raises_exactly(BadParameters, message):
+                entry(s)
 
     def test_replaced_copy_is_checked(self, tadpole_a):
         """``_replace`` bypasses the builder too."""
@@ -611,7 +688,13 @@ class TestColoredDirectConstruction:
         (ColoredGraph(3, W2, B2, ((0, 1), (1, 1), (0, 1), (0, 1))), "color 1 repeated at black 'b1'"),
         (ColoredGraph(3, W2, B2, ((0, 1), (0, 5), (0, 1), (0, 1))), "matching target 5 out of range"),
         (ColoredGraph(3, W3, B2, UNEQUAL_ROWS), "3 white vertices vs 2 black"),
-    ], ids=["duplicate", "out-of-range", "unequal-parts"])
+        (ColoredGraph(3, W2, B2, ((0, 1), (0.0, 1), (0, 1), (0, 1))),
+         "matching target 0.0 out of range"),
+        (ColoredGraph(3, W2, B2, ((0, 1), ("0", 1), (0, 1), (0, 1))),
+         "matching target '0' out of range"),
+        (ColoredGraph(3, ("w0", 1), B2, ((0, 1),) * 4), "label 1 is not a string"),
+    ], ids=["duplicate", "out-of-range", "unequal-parts", "float-target", "string-target",
+            "int-label"])
     @pytest.mark.parametrize("entry", COLORED_ENTRIES.values(), ids=COLORED_ENTRIES)
     def test_entry_points_raise(self, entry, g, message):
         for _ in range(2):  # nothing half-built is kept after a failure

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorgraphs import (
+    ColoredGraph,
+    StrandedEdge,
+    StrandedGraph,
+    StrandedVertex,
     bicolored_face_count,
+    build_colored,
     build_stranded,
     export_dot,
     parse_graph,
@@ -16,6 +21,7 @@ from tensorgraphs import (
 )
 
 from .test_core import colored_graphs
+from .test_reports import escaped_colored
 from tensorgraphs.errors import (
     DanglingHalfEdge,
     DuplicateColorAtVertex,
@@ -309,3 +315,126 @@ class TestColoredMutationFuzz:
         s = to_stranded(g)
         assert bicolored_face_count(g) == trace_faces(s).count
         assert parse_graph(serialize_graph(s)) == s
+
+
+# values that no document holds where a label or a strand entry goes
+FOREIGN_LABELS = [0, 2.5, True, None, b"h0", ("h0",), ["h0"]]
+
+
+@st.composite
+def foreign_stranded(draw):
+    """Builder arguments (rank, vertices, edges) of a valid stranded
+    document, each edge with its strand permutation, after at most one
+    change to a value of another type: a vertex label, or a half-edge
+    label at its vertex and its edge, that is not a string; an edge of
+    one or three ends; or a strand entry that is not an int."""
+    doc = draw(stranded_documents())
+    rank = doc["rank"]
+    vertices = [[v["id"], v["halfedges"]] for v in doc["vertices"]]
+    edges = [[e["halfedges"], e.get("strand_permutation", list(range(rank)))]
+             for e in doc["edges"]]
+
+    def pick(seq):
+        return seq[draw(st.integers(min_value=0, max_value=len(seq) - 1))]
+
+    kind = draw(st.sampled_from(["none", "vertex", "half-edge", "ends", "entry"]))
+    if kind == "vertex":
+        pick(vertices)[0] = draw(st.sampled_from(FOREIGN_LABELS))
+    elif kind == "half-edge":
+        labels, value = pick(vertices)[1], draw(st.sampled_from(FOREIGN_LABELS))
+        k = pick(range(len(labels)))
+        for ends, _perm in edges:
+            ends[:] = [value if h == labels[k] else h for h in ends]
+        labels[k] = value
+    elif kind == "ends":
+        ends = pick(edges)[0]
+        ends[:] = ends[:1] if draw(st.booleans()) else ends + [pick(ends)]
+    elif kind == "entry":
+        perm = pick(edges)[1]
+        k = pick(range(len(perm)))
+        perm[k] = draw(st.sampled_from([float(perm[k]), str(perm[k]), None] +
+                                       [bool(perm[k])] * (perm[k] < 2)))
+    return rank, vertices, edges
+
+
+@st.composite
+def foreign_colored(draw):
+    """(rank, whites, blacks, matchings, edges) of a valid colored graph
+    after at most one change to a value of another type: a label, at its
+    declaration and its edges, that is not a string; an edge color that is
+    not an int; or a matching target that is not an int."""
+    g = draw(st.one_of(colored_graphs(rank=draw(st.integers(min_value=2, max_value=4)), max_n=4),
+                       escaped_colored()))
+    whites, blacks, matchings = list(g.whites), list(g.blacks), [list(row) for row in g.matchings]
+    edges = [list(e) for e in g.edges()]
+
+    def pick(seq):
+        return seq[draw(st.integers(min_value=0, max_value=len(seq) - 1))]
+
+    kinds = ["none"] + ["label", "color", "target"] * bool(edges)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "label":
+        labels, value = pick([whites, blacks]), draw(st.sampled_from(FOREIGN_LABELS))
+        k = pick(range(len(labels)))
+        for edge in edges:
+            edge[1:] = [value if v == labels[k] else v for v in edge[1:]]
+        labels[k] = value
+    elif kind == "color":
+        edge = pick(edges)
+        edge[0] = draw(st.sampled_from([float(edge[0]), str(edge[0]), None, True]))
+    elif kind == "target":
+        row = pick(matchings)
+        k = pick(range(len(row)))
+        row[k] = draw(st.sampled_from([float(row[k]), str(row[k]), None, True]))
+    return g.rank, whites, blacks, matchings, edges
+
+
+class TestForeignValues:
+    """Every graph that a builder accepts, and every graph made with its
+    constructor that serialize_graph writes, round-trips through its
+    document.  A label that is not a string, or a strand entry or matching
+    target that is not an int, was accepted, written into a document that
+    parse_graph rejects, or raised TypeError or ValueError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(foreign_stranded())
+    def test_stranded_builder_output_round_trips(self, args):
+        rank, vertices, edges = args
+        try:
+            g = build_stranded(rank, vertices, edges)
+        except TensorGraphError:
+            return
+        assert parse_graph(serialize_graph(g)) == g
+
+    @settings(max_examples=300, deadline=None)
+    @given(foreign_stranded())
+    def test_stranded_constructor_graph_is_refused_or_round_trips(self, args):
+        rank, vertices, edges = args
+        g = StrandedGraph(rank, tuple(StrandedVertex(v, tuple(hs)) for v, hs in vertices),
+                          tuple(StrandedEdge(tuple(ends), tuple(perm)) for ends, perm in edges))
+        try:
+            document = serialize_graph(g)
+        except TensorGraphError:
+            return
+        assert parse_graph(document) == g
+
+    @settings(max_examples=300, deadline=None)
+    @given(foreign_colored())
+    def test_colored_builder_output_round_trips(self, args):
+        rank, whites, blacks, _matchings, edges = args
+        try:
+            g = build_colored(rank, whites, blacks, edges)
+        except TensorGraphError:
+            return
+        assert parse_graph(serialize_graph(g)) == g
+
+    @settings(max_examples=300, deadline=None)
+    @given(foreign_colored())
+    def test_colored_constructor_graph_is_refused_or_round_trips(self, args):
+        rank, whites, blacks, matchings, _edges = args
+        g = ColoredGraph(rank, tuple(whites), tuple(blacks), tuple(map(tuple, matchings)))
+        try:
+            document = serialize_graph(g)
+        except TensorGraphError:
+            return
+        assert parse_graph(document) == g
