@@ -5,13 +5,13 @@ colors, cardinal three by default.  Presented as a ribbon graph (with
 faces the two-color cycles inside the bubble) it has an Euler
 characteristic and hence a genus.
 
-Bubbles and their faces are orbit counts of the matchings, read a color
-subset at a time from the one pass in ``core``, ``_bubble_table``;
-bubble objects, plain records of their colors, vertices and edges, are
-built only for output.  The three-color bubbles have one walk,
-``_bubble_records``, which yields each in record order as vertex
-indices and counts: ``bubble_census`` builds its records from it, and
-``render`` writes the CLI's bubbles report from it directly.
+A color subset's bubbles are its ``components``, which compose only its
+own color pairs and walk no face.  The three-color bubbles with their
+faces have one walk, ``_bubble_records``, over the triple pass
+``core._bubble_table``: it yields each in record order as vertex indices
+and counts, ``bubble_census`` builds its records from it, and ``render``
+writes the CLI's bubbles report from it.  Bubble objects, plain records
+of colors, vertices and edges, are built only for output.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import itertools
 from collections import Counter
 from typing import Iterator, NamedTuple
 
-from .core import (
-    ColoredEdge, ColoredGraph, _bubble_genus, _bubble_table, _component, _groups, build_colored)
+from .core import (ColoredEdge, ColoredGraph, _bubble_genus, _bubble_table, _component, _groups,
+                   build_colored, components)
 from .errors import BadCardinal
 from .topology import RibbonCounts, bicolored_face_count
 
@@ -60,21 +60,6 @@ class BubbleCensus(NamedTuple):
     genus_histogram: dict[int, int]
 
 
-def _bubble_rows(g: ColoredGraph, k: int) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
-    """(colors, white indices, F) of every bubble over the cardinal-k
-    color subsets, subsets lexicographic, bubbles by least vertex label.
-    A bubble's blacks are sigma_a of its whites, a = min colors."""
-    for colors, labels, _sizes, faces in _bubble_table(g, itertools.combinations(g.colors, k)):
-        sigma = g.matchings[colors[0]]
-
-        def least(whites: list[int]) -> str:
-            return min(min(map(g.whites.__getitem__, whites)),
-                       min(map(g.blacks.__getitem__, map(sigma.__getitem__, whites))))
-
-        for whites in sorted(_groups(labels), key=least):
-            yield colors, whites, faces[whites[0]]
-
-
 def enumerate_bubbles(g: ColoredGraph, k: int = 3) -> list[Bubble]:
     """All bubbles over every cardinal-k color subset.
 
@@ -82,20 +67,31 @@ def enumerate_bubbles(g: ColoredGraph, k: int = 3) -> list[Bubble]:
     components are ordered by least vertex label.  Every vertex of a
     valid graph lies in exactly one bubble per subset.
     """
+    g._inverses  # a malformed graph raises here, also at n = 0, where no subset is read
     if not 1 <= k <= g.rank + 1:
         raise BadCardinal(f"cardinal {k} outside 1..{g.rank + 1}")
-    return [Bubble(c, *_component(g, c, whites)) for c, whites, _f in _bubble_rows(g, k)]
+    return [Bubble(colors, *component)
+            for colors in (itertools.combinations(g.colors, k) if g.n else ())
+            for component in sorted(components(g, set(colors)), key=lambda c: min(c.vertices))]
 
 
 def _bubble_records(
     g: ColoredGraph,
 ) -> Iterator[tuple[tuple[int, ...], list[int], list[int], tuple[int, int, int, int, int]]]:
     """(colors, white indices, black indices, (V, E, F, chi, genus)) of
-    every three-color bubble, in record order."""
-    for colors, whites, f in _bubble_rows(g, 3):
-        v, e = 2 * len(whites), 3 * len(whites)
-        blacks = sorted(map(g.matchings[colors[0]].__getitem__, whites))
-        yield colors, whites, blacks, (v, e, f, v - e + f, _bubble_genus(colors, v, e, f))
+    every three-color bubble, in record order: triples lexicographic, then
+    bubbles by least vertex label, whose blacks are sigma_a of their whites."""
+    for colors, labels, _sizes, faces in _bubble_table(g):
+        sigma = g.matchings[colors[0]]
+
+        def least(whites: list[int]) -> str:
+            return min(min(map(g.whites.__getitem__, whites)),
+                       min(map(g.blacks.__getitem__, map(sigma.__getitem__, whites))))
+
+        for whites in sorted(_groups(labels), key=least):
+            v, e, f = 2 * len(whites), 3 * len(whites), faces[whites[0]]
+            blacks = sorted(map(sigma.__getitem__, whites))
+            yield colors, whites, blacks, (v, e, f, v - e + f, _bubble_genus(colors, v, e, f))
 
 
 def bubble_ribbon(b: Bubble) -> RibbonCounts:

@@ -135,6 +135,7 @@ def mo_admissibility(s: StrandedGraph, pattern: SignPattern = ALTERNATING) -> Mo
     Requires rank 3 and untwisted edges (multi-orientability is defined
     only without strand twists).
     """
+    s._index  # a malformed graph raises here, before its rank is read
     if s.rank != 3:
         raise WrongRank(f"multi-orientability is defined for rank 3, got rank {s.rank}")
     ok, offenders = is_untwisted(s)
@@ -210,8 +211,8 @@ def _propagate(steps, start, compose):
 
 def verify_sign_assignment(s: StrandedGraph, assignment: SignAssignment) -> bool:
     """Re-check a sign assignment against its own invariants."""
+    index = s._index  # a malformed graph raises here, before its rank is read
     d = s.rank + 1
-    index = s._index
     signs = [assignment.signs.get(HalfEdgeRef(label, pos))
              for label in index.order for pos in range(d)]
     for h, sign in enumerate(signs):
@@ -260,8 +261,8 @@ def colorability(s: StrandedGraph) -> ColorabilityResult:
     The returned witness validates, and its stranded expansion has the
     same (vertex, position) edge structure as the input.
     """
+    order, ends = s._index.order, s._index.ends  # a malformed graph raises here
     m = s.rank + 1
-    order, ends = s._index.order, s._index.ends
 
     loop = next((h1 // m for h1, h2 in ends if h1 // m == h2 // m), None)
     if loop is not None:

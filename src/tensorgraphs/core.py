@@ -33,16 +33,16 @@ closure check, and raises the builder's errors.
 Every count on the colored side is an orbit count of the matchings.
 Its index is ``_inverses``, each matching's inverse, from ``_checked``,
 the one pass that decides colored validity and inverts the matchings.
-``_face_steps`` composes each pair's sigma_b^-1 sigma_a on whites (none
-at n = 0); the {a, b}-faces are its cycles, and ``_cycle_roots``, which
-finds each cycle's least white, is the one walk over them: every face
-count reads it, and the face lists of ``topology`` start from its roots.
-The bubbles of a color set S are the orbits on whites of those steps for
-b in S, a = min S, taken by ``_orbits``, and connectivity is S = all
-colors.  ``_bubble_table`` is the one pass that counts bubbles with their
-faces, a subset at a time; ``_triple_counts`` reads it over the color
-triples for census, dual and genus, and checks every bubble's genus for
-all three.
+Only ``_face_steps`` composes sigma_b^-1 sigma_a on whites (none at
+n = 0), for the pairs a < b its caller reads; the {a, b}-faces are its
+cycles, and ``_cycle_roots``, which finds each cycle's least white, is
+the one walk over them.  The bubbles of a color set S are the orbits on
+whites of those steps for b in S, a = min S: ``components`` composes
+those |S| - 1 pairs, ``_connected`` (S = all colors) its D and
+``pair_cycle_count`` its one, none walking a face.  The face walks and
+counts of ``topology`` compose every pair, as does ``_bubble_table``, the
+one pass that counts bubbles with their faces, over the color triples;
+``_triple_counts`` reads it for census, dual and genus.
 
 Records are ``typing.NamedTuple``s; the graphs subclass one of their
 fields so that their cached indices have an instance dict.  Graphs are
@@ -55,6 +55,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -207,9 +208,13 @@ class StrandedGraph(_StrandedFields):
     @cached_property
     def _index(self) -> _StrandIndex:
         """The integer index, built by the one pass that checks closure.  It
-        raises the builder's errors: the rank first, then a vertex label that
-        is not a string, then vertices in declaration order, then edges in
-        order, then half-edges left in no edge."""
+        raises the builder's errors: a field of the wrong type first, then the
+        rank, then a vertex label that is not a string, then vertices in
+        declaration order, then edges in order, then half-edges left in no edge."""
+        for name, kind, value in zip(self._fields, (int, tuple, tuple), self):
+            if not isinstance(value, kind):  # the rest reads the fields as these types
+                raise BadParameters(f"{name} must be {kind.__name__}, "
+                                    f"got {type(value).__name__}")
         rank, d = self.rank, self.rank + 1
         if rank < 2:
             raise BadParameters(f"rank must be >= 2, got {rank}")
@@ -224,6 +229,9 @@ class StrandedGraph(_StrandedFields):
         for v, i in zip(self.vertices, _inverse(by_label)):
             if i and order[i - 1] == v.label:
                 raise BadParameters(f"vertex label {v.label!r} declared twice")
+            if not isinstance(v.halfedges, tuple):
+                raise BadParameters(f"vertex {v.label!r}: halfedges must be tuple, "
+                                    f"got {type(v.halfedges).__name__}")
             if len(v.halfedges) != d:
                 raise WrongValence(
                     f"vertex {v.label!r} has {len(v.halfedges)} half-edges, expected {d}")
@@ -237,7 +245,7 @@ class StrandedGraph(_StrandedFields):
         ends = []
         other = [-1] * len(half)
         strands, ints = (list(range(rank)), [int] * rank) if half else ([], [])
-        checked = None  # the last permutation checked: builders share the identity's
+        checked = object()  # the last permutation checked: builders share the identity's
         for e in self.edges:
             try:
                 h1, h2 = e.halfedges
@@ -255,6 +263,9 @@ class StrandedGraph(_StrandedFields):
                     raise HalfEdgeReused(f"half-edge {h!r} appears in more than one edge")
             other[x1], other[x2] = x2, x1
             if e.permutation is not checked:
+                if not isinstance(e.permutation, tuple):
+                    raise BadParameters(f"edge ({h1!r}, {h2!r}): permutation must be "
+                                        f"tuple, got {type(e.permutation).__name__}")
                 if list(map(type, e.permutation)) != ints or sorted(e.permutation) != strands:
                     raise BadPermutation(
                         f"edge ({h1!r}, {h2!r}): {list(e.permutation)} is not a "
@@ -309,6 +320,8 @@ def build_colored(
     - DuplicateColorAtVertex / MissingColorAtVertex if some vertex does
       not see every color exactly once
     """
+    if not isinstance(rank, int):
+        raise BadParameters(f"rank must be int, got {type(rank).__name__}")
     if rank < 2:
         raise BadParameters(f"rank must be >= 2, got {rank}")
     whites = tuple(whites)
@@ -361,8 +374,15 @@ def build_colored(
 def _checked(g: ColoredGraph) -> tuple[list[Violation], list[list[int]]]:
     """Every violation of the colored-graph invariants, in report order,
     and each matching's inverse (-1 where no white maps), from one pass.
-    At n = 0 the inverses are one shared empty list: rank sizes little."""
-    violations: list[Violation] = []
+    At n = 0 the inverses are one shared empty list: rank sizes little.
+    A field of the wrong type is the only violation reported: the rest
+    reads the fields as the documented types."""
+    violations = [Violation("BadField", name, f"{name} must be {kind.__name__}, "
+                            f"got {type(value).__name__}")
+                  for name, kind, value in zip(g._fields, (int, tuple, tuple, tuple), g)
+                  if not isinstance(value, kind)]
+    if violations:
+        return violations, []
     if g.rank < 2:
         violations.append(Violation("BadRank", str(g.rank), f"rank must be >= 2, got {g.rank}"))
     if len(g.whites) != len(g.blacks):
@@ -386,6 +406,10 @@ def _checked(g: ColoredGraph) -> tuple[list[Violation], list[list[int]]]:
     inverses = [[-1] * n for _sigma in g.matchings] if n else [[]] * len(g.matchings)
     rows = zip(g.matchings, inverses) if len(g.blacks) == n else ()  # targets name blacks
     for c, (sigma, inverse) in enumerate(rows):
+        if not isinstance(sigma, tuple):
+            violations.append(Violation("BadField", f"color {c}", f"matching for color {c} "
+                                        f"must be tuple, got {type(sigma).__name__}"))
+            continue
         if len(sigma) != n:
             violations.append(Violation(
                 "MissingColorAtVertex", f"color {c}",
@@ -469,25 +493,27 @@ def _cycle_roots(perm: Sequence[int]) -> list[int]:
     return roots
 
 
-def _face_steps(g: ColoredGraph) -> dict[tuple[int, int], list[int]]:
-    """sigma_b^-1 sigma_a on whites for every color pair a < b; its cycles
-    are the {a, b}-faces.  A graph with no vertex has no pair to step."""
-    inverses = g._inverses
-    return {(a, b): list(map(inverses[b].__getitem__, g.matchings[a]))
-            for a, b in itertools.combinations(g.colors if g.n else (), 2)}
+def _face_steps(g: ColoredGraph, pairs: Iterable | None = None) -> dict[tuple, Sequence[int]]:
+    """sigma_b^-1 sigma_a on whites for each color pair a < b in ``pairs``,
+    every pair by default; its cycles are the {a, b}-faces."""
+    inverses = g._inverses  # a malformed graph raises here, before its colors are read
+    pairs = itertools.combinations(g.colors, 2) if pairs is None else pairs
+    if g.n < 2:  # no vertex, no pair to step; itemgetter of one index returns a scalar
+        return dict.fromkeys(pairs, (0,)) if g.n else {}
+    return {(a, b): itemgetter(*g.matchings[a])(inverses[b]) for a, b in pairs}
 
 
-def _bubble_table(g: ColoredGraph, subsets: Iterable[tuple[int, ...]]) -> Iterator[tuple]:
-    """(colors, labels, sizes, faces) of each non-empty, ascending color
-    subset, one subset at a time: ``labels`` gives each white the least
-    white of its bubble, and ``sizes`` and ``faces`` map that least white
-    to how many whites and {x, y}-cycle roots, x < y in colors, the bubble
-    holds (faces: 0 where none).  A bubble's blacks are sigma_a of its
-    whites, a = min colors.  At n = 0 there is no row, and no subset is read."""
+def _bubble_table(g: ColoredGraph) -> Iterator[tuple]:
+    """(colors, labels, sizes, faces) of each color triple, lexicographic:
+    ``labels`` gives each white the least white of its bubble, and
+    ``sizes`` and ``faces`` map that least white to how many whites and
+    {x, y}-cycle roots, x < y in colors, the bubble holds (faces: 0 where
+    none).  A bubble's blacks are sigma_a of its whites, a = min colors.
+    At n = 0 there is no row, and no triple is read."""
     n = g.n
-    steps = _face_steps(g)
+    steps = _face_steps(g)  # every pair: each lies in D - 1 triples
     roots = {pair: _cycle_roots(step) for pair, step in steps.items()}
-    for colors in subsets if n else ():
+    for colors in itertools.combinations(g.colors, 3) if n else ():
         labels = _orbits([steps[colors[0], b] for b in colors[1:]], n)
         inside = [roots[pair] for pair in itertools.combinations(colors, 2)]
         if not any(labels):  # one bubble holds every root
@@ -502,7 +528,7 @@ def _triple_counts(g: ColoredGraph) -> tuple[int, tuple[int, ...], bool]:
     is one bubble, which makes the graph connected (at rank 2 the one triple
     is every color, so it is connectivity), from one pass over the triples."""
     faces, genera, one_bubble = 0, [], False
-    for colors, _labels, sizes, f in _bubble_table(g, itertools.combinations(g.colors, 3)):
+    for colors, _labels, sizes, f in _bubble_table(g):
         faces += sum(f.values())
         one_bubble = one_bubble or len(sizes) == 1
         genera.extend(_bubble_genus(colors, 2 * w, 3 * w, f[root]) for root, w in sizes.items())
@@ -534,8 +560,8 @@ def _component(g: ColoredGraph, colors: tuple[int, ...], whites: list[int]) -> C
 
 def _connected(g: ColoredGraph) -> bool:
     """Connectivity: one orbit on whites of every sigma_b^-1 sigma_0; no faces are counted."""
-    steps = [list(map(tau.__getitem__, g.matchings[0])) for tau in g._inverses[1:]]
-    return g.n > 0 and not any(_orbits(steps, g.n))
+    steps = _face_steps(g, [(0, b) for b in g.colors[1:]]).values()
+    return g.n > 0 and not any(_orbits(list(steps), g.n))
 
 
 def components(g: ColoredGraph, colors: set[int] | frozenset[int]) -> list[Component]:
@@ -545,15 +571,15 @@ def components(g: ColoredGraph, colors: set[int] | frozenset[int]) -> list[Compo
     singleton components.  Components are ordered by their least vertex
     (whites before blacks, declaration order).
     """
+    g._inverses  # a malformed graph raises here, as on every walk
     for c in colors:
         if not 0 <= c <= g.rank:
             raise ColorOutOfRange(f"color {c} outside 0..{g.rank}")
     if not colors:
-        g._inverses  # a malformed graph raises here, as on every walk
         return [Component((label,), ()) for label, _parity in g.nodes()]
     subset = tuple(sorted(colors))
-    labels = next(_bubble_table(g, [subset]), ((), []))[1]  # no row at n = 0
-    return [_component(g, subset, whites) for whites in _groups(labels)]
+    steps = _face_steps(g, [(subset[0], b) for b in subset[1:]]).values()
+    return [_component(g, subset, whites) for whites in _groups(_orbits(list(steps), g.n))]
 
 
 def to_stranded(g: ColoredGraph) -> StrandedGraph:
@@ -569,9 +595,10 @@ def to_stranded(g: ColoredGraph) -> StrandedGraph:
     labels = g.whites + g.blacks
     halves = [tuple(f"{label}:{c}" for c in g.colors) for label in labels]
     whites, blacks = halves[:g.n], halves[g.n:]
-    ident = identity_permutation(g.rank) if g.n else ()  # no edge: rank sizes nothing
+    # no edge: neither the identity nor a walk over the empty matchings is sized by rank
+    ident, matchings = (identity_permutation(g.rank), g.matchings) if g.n else ((), ())
     edges = tuple(StrandedEdge((whites[i][c], blacks[j][c]), ident)
-                  for c, sigma in enumerate(g.matchings) for i, j in enumerate(sigma))
+                  for c, sigma in enumerate(matchings) for i, j in enumerate(sigma))
     return StrandedGraph(g.rank, tuple(map(StrandedVertex, labels, halves)), edges)
 
 
@@ -590,8 +617,9 @@ def build_stranded(
     raises on the first fault, the rank's first.
     """
     built = tuple(StrandedVertex(label, tuple(halfedges)) for label, halfedges in vertices)
-    # built only under a vertex of rank + 1 half-edges, which _index checks before any edge
-    ident = identity_permutation(rank) if built and len(built[0].halfedges) == rank + 1 else ()
+    # built only under a vertex of rank + 1 half-edges, which _index checks before any edge;
+    # the rank is compared, not added to, as _index rejects one that is no int
+    ident = identity_permutation(rank) if built and len(built[0].halfedges) - 1 == rank else ()
     g = StrandedGraph(rank, built, tuple(
         StrandedEdge(tuple(ends), ident if perm is None else tuple(perm)) for ends, perm in edges))
     g._index
@@ -603,8 +631,8 @@ def stranded_components(s: StrandedGraph) -> list[tuple[str, ...]]:
     orbits on half-edge ids of the edge involution and the within-vertex
     rotation.  Components come by first declared vertex, each listing its
     vertices in declaration order."""
+    index = s._index  # a malformed graph raises here, before its rank is read
     d = s.rank + 1
-    index = s._index
     turn = list(range(1, len(index.other) + 1))  # h to the next half-edge of its vertex
     turn[d - 1::d] = range(0, len(turn), d)
     root = dict(zip(index.order, _orbits([index.other, turn], len(turn))[::d]))

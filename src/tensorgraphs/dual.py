@@ -29,6 +29,7 @@ def dual_counts(g: ColoredGraph) -> DualComplexCounts:
     tetrahedra = 2n and triangles = 4n always; segments and points are
     face and bubble counts, taken without building faces or bubbles.
     """
+    g._inverses  # a malformed graph raises here, before its rank is read
     if g.rank != 3:
         raise WrongRank(f"dual tetrahedral counts are defined for rank 3, got {g.rank}")
     faces, genera, _one_bubble = _triple_counts(g)

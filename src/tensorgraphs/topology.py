@@ -119,12 +119,12 @@ def bicolored_faces(g: ColoredGraph) -> FaceSet:
 
 def pair_cycle_count(g: ColoredGraph, a: int, b: int) -> int:
     """Number of {a, b}-cycles of two distinct colors, without building them."""
+    g._inverses  # a malformed graph raises here, as on every walk
     if not (0 <= a <= g.rank and 0 <= b <= g.rank):
         raise ColorOutOfRange(f"color pair ({a}, {b}) outside 0..{g.rank}")
     if a == b:
         raise BadParameters(f"a color pair needs two distinct colors, got {a} twice")
-    inverse = g._inverses[max(a, b)]
-    return len(_cycle_roots([inverse[j] for j in g.matchings[min(a, b)]]))
+    return sum(map(len, map(_cycle_roots, _face_steps(g, [(min(a, b), max(a, b))]).values())))
 
 
 def bicolored_face_count(g: ColoredGraph) -> int:

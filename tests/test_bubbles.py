@@ -18,11 +18,14 @@ from tensorgraphs import (
     core,
     dual_counts,
     enumerate_bubbles,
+    pair_cycle_count,
     sampling,
 )
 from tensorgraphs.errors import BadCardinal
 
+from .conftest import melonic
 from .test_core import colored_graphs
+from .test_reports import escaped_colored
 from .test_topology import composition_cycle_oracle
 
 
@@ -264,3 +267,44 @@ class TestCountsOnlyPaths:
         monkeypatch.setattr(core, "_orbits", lambda perms, n: calls.append(n) or orbits(perms, n))
         next(bubbles._bubble_records(quad))
         assert len(calls) == 1
+
+
+class TestTwoRoutes:
+    """``enumerate_bubbles`` takes each subset's components, which compose
+    only that subset's color pairs; ``bubble_census`` reads the triple pass,
+    which composes every pair and walks every face.  Both give the same
+    bubbles in the same order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(colored_graphs(rank=2), colored_graphs(), colored_graphs(rank=4),
+                     escaped_colored(),
+                     st.builds(melonic, st.integers(min_value=2, max_value=5),
+                               st.integers(min_value=1, max_value=60),
+                               st.integers(min_value=0, max_value=1 << 32))))
+    def test_census_bubbles_equal_enumerated_bubbles(self, g):
+        assert [r.bubble for r in bubble_census(g).records] == enumerate_bubbles(g, 3)
+
+    @pytest.mark.parametrize("read, pairs", [
+        (lambda g: components(g, {0, 2, 3}), 2),
+        (lambda g: components(g, {4}), 0),
+        (core._connected, 4),
+        (lambda g: pair_cycle_count(g, 3, 1), 1),
+        (lambda g: enumerate_bubbles(g, 2), comb(5, 2)),
+        (lambda g: enumerate_bubbles(g, 3), comb(5, 3) * 2),
+        (bicolored_face_count, comb(5, 2)),
+        (bicolored_faces, comb(5, 2)),
+        (bubble_census, comb(5, 2)),
+        (lambda g: list(bubbles._bubble_records(g)), comb(5, 2)),
+    ], ids=["components", "components-one-color", "connected", "pair_cycle_count",
+            "enumerate_bubbles-2", "enumerate_bubbles-3", "bicolored_face_count",
+            "bicolored_faces", "bubble_census", "bubble_records"])
+    def test_each_question_composes_the_pairs_it_reads(self, read, pairs, monkeypatch):
+        """Every composition of two matchings is one ``itemgetter`` in
+        ``core._face_steps``; components once composed every pair and walked every face."""
+        g = sampling.random_colored(4, 30, 5)
+        composed = []
+        getter = core.itemgetter
+        monkeypatch.setattr(core, "itemgetter",
+                            lambda *sigma: composed.append(sigma) or getter(*sigma))
+        read(g)
+        assert len(composed) == pairs

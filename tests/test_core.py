@@ -138,6 +138,20 @@ class TestBuildColored:
             tracemalloc.stop()
         assert s == (10**5, (), ()) and peak < 1_000_000
 
+    def test_large_rank_empty_graph_expands_without_walking_its_matchings(self):
+        # to_stranded once walked each of the 100,001 empty matchings after the check
+        class Rows(tuple):
+            walks = 0
+
+            def __iter__(self):
+                Rows.walks += 1
+                return super().__iter__()
+
+        g = ColoredGraph(10**5, (), (), Rows(((),) * (10**5 + 1)))
+        g._inverses  # checked first: the check reads every matching
+        Rows.walks = 0
+        assert to_stranded(g) == (10**5, (), ()) and Rows.walks == 0
+
     def test_quad_every_vertex_sees_every_color(self, quad):
         assert validate_colored(quad).valid
         seen = {label: set() for label, _ in quad.nodes()}
@@ -288,6 +302,17 @@ class TestValidateColored:
         (ColoredGraph(3, (["w0"], "w0"), ("w0", "b1"), ((0, 1),) * 4), [
             ("BadLabel", "['w0']", "label ['w0'] is not a string"),
             ("DuplicateLabel", "w0", "label 'w0' used twice")]),
+        # fields that are not the documented containers raised TypeError; a
+        # wrong field is the only violation, since no other can be read past it
+        (ColoredGraph("3", list(W2), B2, None), [
+            ("BadField", "rank", "rank must be int, got str"),
+            ("BadField", "whites", "whites must be tuple, got list"),
+            ("BadField", "matchings", "matchings must be tuple, got NoneType")]),
+        (ColoredGraph(3, W2, B2, ((0, 1), None, [0, 1], (0, 0))), [
+            ("BadField", "color 1", "matching for color 1 must be tuple, got NoneType"),
+            ("BadField", "color 2", "matching for color 2 must be tuple, got list"),
+            ("DuplicateColorAtVertex", "b0", "color 3 repeated at black 'b0'"),
+            ("MissingColorAtVertex", "b1", "black 'b1' has no edge of color 3")]),
     ])
     def test_pinned_reports(self, g, violations):
         assert validate_colored(g) == (False, tuple(violations))
@@ -401,6 +426,8 @@ class TestToStranded:
 
 
 V = [("v", ["h0", "h1", "h2", "h3"])]
+VT = (StrandedVertex("v", ("h0", "h1", "h2", "h3")),)  # V and two edges, as constructor fields
+ET = (StrandedEdge(("h0", "h1"), (0, 1, 2)), StrandedEdge(("h2", "h3"), (0, 1, 2)))
 
 
 def raises_exactly(error, message):
@@ -623,6 +650,27 @@ class TestDirectConstruction:
             with raises_exactly(BadParameters, message):
                 entry(s)
 
+    @pytest.mark.parametrize("s, message", [
+        (StrandedGraph("3", VT, ET), "rank must be int, got str"),
+        (StrandedGraph(3, VT, (StrandedEdge(("h0", "h1"), None), ET[1])),
+         "edge ('h0', 'h1'): permutation must be tuple, got NoneType"),
+        (StrandedGraph(3, (StrandedVertex("v", None),), ET),
+         "vertex 'v': halfedges must be tuple, got NoneType"),
+        (StrandedGraph(3, None, ET), "vertices must be tuple, got NoneType"),
+        (StrandedGraph(3, VT, None), "edges must be tuple, got NoneType"),
+    ], ids=["string-rank", "none-permutation", "none-halfedges", "none-vertices", "none-edges"])
+    @pytest.mark.parametrize("entry", STRANDED_ENTRIES + [lambda s: list(s.slots())])
+    def test_fields_of_the_wrong_type_raise(self, entry, s, message):
+        """Fields that are not the documented containers once raised TypeError."""
+        for _ in range(2):
+            with raises_exactly(BadParameters, message):
+                entry(s)
+
+    def test_builders_reject_a_rank_that_is_no_int(self):
+        for build in (lambda: build_colored("3", (), (), ()), lambda: build_stranded("3", V, [])):
+            with raises_exactly(BadParameters, "rank must be int, got str"):
+                build()
+
     def test_replaced_copy_is_checked(self, tadpole_a):
         """``_replace`` bypasses the builder too."""
         s = tadpole_a._replace(edges=(tadpole_a.edges[0],))
@@ -693,8 +741,17 @@ class TestColoredDirectConstruction:
         (ColoredGraph(3, W2, B2, ((0, 1), ("0", 1), (0, 1), (0, 1))),
          "matching target '0' out of range"),
         (ColoredGraph(3, ("w0", 1), B2, ((0, 1),) * 4), "label 1 is not a string"),
+        # with no vertex, no color subset is read, but the graph is still checked
+        (ColoredGraph(3, (), (), ((),) * 3), "expected 4 matchings, got 3"),
+        # fields that are not the documented containers once raised TypeError
+        (ColoredGraph("3", W2, B2, ((0, 1),) * 4), "rank must be int, got str"),
+        (ColoredGraph(3, list(W2), B2, ((0, 1),) * 4), "whites must be tuple, got list"),
+        (ColoredGraph(3, W2, B2, ((0, 1), None, (0, 1), (0, 1))),
+         "matching for color 1 must be tuple, got NoneType"),
+        (ColoredGraph(3, W2, B2, None), "matchings must be tuple, got NoneType"),
     ], ids=["duplicate", "out-of-range", "unequal-parts", "float-target", "string-target",
-            "int-label"])
+            "int-label", "empty-too-few-matchings", "string-rank", "list-whites", "none-row",
+            "none-matchings"])
     @pytest.mark.parametrize("entry", COLORED_ENTRIES.values(), ids=COLORED_ENTRIES)
     def test_entry_points_raise(self, entry, g, message):
         for _ in range(2):  # nothing half-built is kept after a failure
