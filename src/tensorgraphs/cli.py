@@ -7,6 +7,11 @@ and a fixed key order, so identical inputs give byte-identical output.
 
 Exit codes: 0 success / property holds; 1 graph invalid or property
 fails; 2 parse or usage error; 3 internal fault.
+
+A report is a str or its pieces: the large reports hand over the piece
+lists they build, and payloads are encoded lazily by
+``json.JSONEncoder(indent=2).iterencode``.  ``run`` joins the pieces;
+``main`` writes them as they come.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import json
 import os
 import sys
 from collections import namedtuple
+from itertools import islice
 
 from . import __version__
 from .errors import (
@@ -36,6 +42,8 @@ from .errors import (
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
+    from typing import Iterable, Iterator
+
     from .core import ColoredGraph, StrandedGraph
     from .sampling import CensusReport
 
@@ -48,10 +56,37 @@ PROPERTY_ERRORS = (Disconnected, OddEuler, NegativeGenus, TwistedInput,
 # collections.namedtuple, not typing.NamedTuple: ``--version`` imports no typing
 CommandResult = namedtuple("CommandResult", ["exit_code", "report"])
 _SLICE = 1 << 16  # characters of a report that main() writes at a time
+_ENCODER = json.JSONEncoder(indent=2)  # lays a payload out as json.dumps(indent=2) does
 
 
-def _json_report(payload: dict) -> str:
-    return json.dumps({"tool_version": __version__, **payload}, indent=2)
+def _json_report(payload: dict) -> Iterator[str]:
+    """The payload's --json report, encoded as it is read."""
+    return _ENCODER.iterencode({"tool_version": __version__, **payload})
+
+
+def _slices(pieces: Iterable[str]) -> Iterator[str]:
+    """``pieces`` rejoined into exact _SLICE-character slices, then the rest.
+    Runs of pieces are joined and cut by offset.  A run is about a slice
+    long, as its piece count at most doubles from the last run's, so none
+    holds much of the report, and a run that is one long piece is not
+    copied.  A list is cut into runs by index, reading no piece alone."""
+    rest = None if isinstance(pieces, list) else iter(pieces)
+    carry, start, count = "", 0, 1
+    while run := pieces[start:start + count] if rest is None else list(islice(rest, count)):
+        start += count
+        text = "".join(run)
+        count = min(2 * count, count * _SLICE // (len(text) + 1) + 1)  # next run's
+        at = _SLICE - len(carry)
+        if at > len(text):
+            carry += text
+            continue
+        yield carry + text[:at]
+        while len(text) - at >= _SLICE:
+            yield text[at:at + _SLICE]
+            at += _SLICE
+        carry = text[at:]
+    if carry:
+        yield carry
 
 
 class _InvalidGraph(Exception):
@@ -84,12 +119,15 @@ def _as_stranded(g) -> StrandedGraph:
     return to_stranded(g) if isinstance(g, ColoredGraph) else g
 
 
-def _write_out(data: bytes, out: str | None) -> str:
-    if out:
-        with open(out, "wb") as fh:
-            fh.write(data)
-        return f"wrote {out}"
-    return data.decode("utf-8").rstrip("\n")
+def _write_out(pieces: Iterable[str], out: str | None) -> Iterable[str]:
+    """The report of a command that writes a document: the document's
+    pieces, or with ``out``, a note that they were written there."""
+    if not out:
+        return pieces
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(_slices(pieces))
+        fh.write("\n")
+    return f"wrote {out}"
 
 
 # -- subcommands -------------------------------------------------------------
@@ -131,8 +169,8 @@ def _cmd_bubbles(args) -> CommandResult:
     lines = [f"bubbles: {len(bubbles)}"]
     for i, b in enumerate(bubbles):
         colors = ",".join(str(c) for c in b.colors)
-        lines.append(f"  [{i}] colors {{{colors}}} V={len(b.vertices)} E={len(b.edges)}")
-    return CommandResult(0, "\n".join(lines))
+        lines.append(f"\n  [{i}] colors {{{colors}}} V={len(b.vertices)} E={len(b.edges)}")
+    return CommandResult(0, lines)
 
 
 def _counts_of(g: ColoredGraph | StrandedGraph) -> tuple[int, int, int, bool]:
@@ -229,18 +267,20 @@ def _cmd_check_mo(args) -> CommandResult:
     lines = [f"not admissible (pattern {pattern.name}): no rotation works at "
              f"{result.obstruction.vertex}"]
     for c in conflicts:
-        lines.append(f"  rotation {c['rotation']}: edge {c['edge'][0]}--{c['edge'][1]} {c['reason']}")
-    return CommandResult(1, "\n".join(lines))
+        lines.append(f"\n  rotation {c['rotation']}: edge {c['edge'][0]}--{c['edge'][1]} "
+                     f"{c['reason']}")
+    return CommandResult(1, lines)
 
 
 def _cmd_random(args) -> CommandResult:
-    from .formats import serialize_graph
+    from .formats import _document
     from .sampling import random_colored, random_connected
     if args.connected:
         g = random_connected(args.rank, args.size, args.seed, args.max_attempts)
     else:
         g = random_colored(args.rank, args.size, args.seed)
-    return CommandResult(0, _write_out(serialize_graph(g), args.output))
+    # serialize_graph's document, encoded as it is written
+    return CommandResult(0, _write_out(_ENCODER.iterencode(_document(g)), args.output))
 
 
 def _census_payload(report: CensusReport) -> dict:
@@ -277,7 +317,7 @@ def _cmd_census(args) -> CommandResult:
 def _cmd_export_dot(args) -> CommandResult:
     from .formats import export_dot
     g = _load(args.file)
-    return CommandResult(0, _write_out(export_dot(g), args.output))
+    return CommandResult(0, _write_out([export_dot(g).decode().rstrip("\n")], args.output))
 
 
 # -- parser -------------------------------------------------------------------
@@ -350,8 +390,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: list[str]) -> CommandResult:
-    """Execute one CLI invocation and return its exit code and report."""
+def _fault(err: Exception) -> CommandResult:
+    """Exit 3: a fault of this program, not of its input."""
+    message = " ".join(str(err).split())
+    return CommandResult(3, f"internal error: {type(err).__name__}: {message}")
+
+
+def _execute(argv: list[str]) -> CommandResult:
+    """Run one CLI invocation up to its report, a str or its pieces: every
+    walk and check is done, and only a built payload is left to encode."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -372,28 +419,40 @@ def run(argv: list[str]) -> CommandResult:
         # remaining builder errors mean the input graph is invalid
         return CommandResult(1, f"invalid graph: {type(err).__name__}: {err}")
     except Exception as err:
-        # anything else is a fault of this program, not of its input
-        message = " ".join(str(err).split())
-        return CommandResult(3, f"internal error: {type(err).__name__}: {message}")
+        return _fault(err)
+
+
+def run(argv: list[str]) -> CommandResult:
+    """Execute one CLI invocation and return its exit code and whole report."""
+    code, report = _execute(argv)
+    try:
+        return CommandResult(code, report if isinstance(report, str) else "".join(report))
+    except Exception as err:  # encoding a built payload
+        return _fault(err)
 
 
 def main() -> None:
-    """Run ``sys.argv``; write the report in slices, never encoding all of it at once."""
-    result = run(sys.argv[1:])
-    if result.report:
-        stream = sys.stdout if result.exit_code in (0, 1) else sys.stderr
-        try:
-            for start in range(0, len(result.report), _SLICE):
-                stream.write(result.report[start:start + _SLICE])
+    """Run ``sys.argv`` and write its report in exact _SLICE-character
+    slices as its pieces come, so no report is ever held whole.  A fault
+    while writing exits 3, as ``run`` does, after what was written."""
+    code, report = _execute(sys.argv[1:])
+    stream = sys.stdout if code in (0, 1) else sys.stderr
+    try:
+        if report:
+            for text in _slices([report] if isinstance(report, str) else report):
+                stream.write(text)
             print(file=stream, flush=True)
-        except BrokenPipeError:
-            # The reader closed the pipe early (``| head``): the command still
-            # ran, so keep its exit code, and point the stream at devnull so
-            # the flush at interpreter exit cannot fail again.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, stream.fileno())
-            os.close(devnull)
-    sys.exit(result.exit_code)
+    except BrokenPipeError:
+        # The reader closed the pipe early (``| head``): the command still
+        # ran, so keep its exit code, and point the stream at devnull so
+        # the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+    except Exception as err:
+        code, message = _fault(err)
+        print(message, file=sys.stderr, flush=True)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

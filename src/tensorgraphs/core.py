@@ -45,7 +45,9 @@ one pass that counts bubbles with their faces, over the color triples;
 ``_triple_counts`` reads it for census, dual and genus.
 
 Records are ``typing.NamedTuple``s; the graphs subclass one of their
-fields so that their cached indices have an instance dict.  Graphs are
+fields so that their cached indices have an instance dict.  A graph
+pickles its fields only, so an unpickled graph, like one made with its
+constructor, is checked on first walk.  Graphs are
 immutable once built; every operation here is a pure read, so values
 can be shared freely between concurrent tasks.
 """
@@ -120,8 +122,15 @@ class _ColoredFields(NamedTuple):
     matchings: tuple[tuple[int, ...], ...]
 
 
+def _fields_only(graph: tuple) -> tuple:
+    """A graph's ``__reduce__``: its fields, without the cached indices."""
+    return type(graph), tuple(graph)
+
+
 class ColoredGraph(_ColoredFields):
     """Bipartite rank-D tensor graph, one perfect matching per color."""
+
+    __reduce__ = _fields_only
 
     @property
     def n(self) -> int:
@@ -199,6 +208,8 @@ class StrandedGraph(_StrandedFields):
     Closure is checked where ``_index`` is built, so a graph made with
     this constructor, not ``build_stranded``, is checked on first use."""
 
+    __reduce__ = _fields_only
+
     @cached_property
     def halfedge_refs(self) -> dict[str, HalfEdgeRef]:
         self._index  # a malformed graph raises here, as on every walk
@@ -208,21 +219,27 @@ class StrandedGraph(_StrandedFields):
     @cached_property
     def _index(self) -> _StrandIndex:
         """The integer index, built by the one pass that checks closure.  It
-        raises the builder's errors: a field of the wrong type first, then the
-        rank, then a vertex label that is not a string, then vertices in
-        declaration order, then edges in order, then half-edges left in no edge."""
+        raises the builder's errors: a field of the wrong type first, then an
+        element of the wrong type, then the rank, then a vertex label that is
+        not a string, then vertices in declaration order, then edges in order,
+        then half-edges left in no edge."""
         for name, kind, value in zip(self._fields, (int, tuple, tuple), self):
             if not isinstance(value, kind):  # the rest reads the fields as these types
                 raise BadParameters(f"{name} must be {kind.__name__}, "
                                     f"got {type(value).__name__}")
+        for name, kind in (("vertices", StrandedVertex), ("edges", StrandedEdge)):
+            elements = getattr(self, name)
+            if not all(map(isinstance, elements, itertools.repeat(kind))):
+                i = next(i for i, x in enumerate(elements) if not isinstance(x, kind))
+                raise BadParameters(f"{name}[{i}] must be {kind.__name__}, "
+                                    f"got {type(elements[i]).__name__}")
         rank, d = self.rank, self.rank + 1
         if rank < 2:
             raise BadParameters(f"rank must be >= 2, got {rank}")
-        labels = []
-        for v in self.vertices:  # only strings sort, and a document holds no other label
-            if not isinstance(v.label, str):
-                raise BadParameters(f"vertex label {v.label!r} is not a string")
-            labels.append(v.label)
+        labels = [v.label for v in self.vertices]
+        if not all(map(isinstance, labels, itertools.repeat(str))):  # only strings sort
+            label = next(x for x in labels if not isinstance(x, str))
+            raise BadParameters(f"vertex label {label!r} is not a string")
         by_label = sorted(range(len(labels)), key=labels.__getitem__)  # stable: repeats adjoin
         order = tuple(labels[j] for j in by_label)
         half: dict[str, int] = {}

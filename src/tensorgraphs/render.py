@@ -1,11 +1,13 @@
 """The large CLI reports, rendered straight from the face and bubble walks.
 
 ``faces`` and ``bubbles`` over three colors are one flat list of pieces,
-joined once.  Pieces are shared: each label is encoded once and the text
-between labels formatted once per color pair, slot, color triple or
-counts, so a colored edge's D faces share its pieces and there is no slot
-table; a text face, a few bytes per piece, is joined first.  The --json
-form equals ``json.dumps({"tool_version": ..., **payload}, indent=2)``."""
+which the CLI writes in slices as it reads them and never joins whole
+(``cli.run`` joins it for library callers).  Pieces are shared: each
+label is encoded once and the text between labels formatted once per
+color pair, slot, color triple or counts, so a colored edge's D faces
+share its pieces and there is no slot table; a text face, a few bytes per
+piece, is joined first.  The pieces of the --json form join to
+``json.dumps({"tool_version": ..., **payload}, indent=2)``."""
 
 from __future__ import annotations
 
@@ -75,9 +77,9 @@ def _stranded_faces(s: StrandedGraph, as_json: bool) -> Iterator[list[str]]:
         yield face
 
 
-def faces_report(g: ColoredGraph | StrandedGraph, as_json: bool) -> str:
-    """The ``faces`` report: two-color cycles of a colored graph, strand
-    circuits of a stranded one."""
+def faces_report(g: ColoredGraph | StrandedGraph, as_json: bool) -> list[str]:
+    """The pieces of the ``faces`` report: two-color cycles of a colored
+    graph, strand circuits of a stranded one."""
     colored = isinstance(g, ColoredGraph)
     faces = _colored_faces(g, as_json) if colored else _stranded_faces(g, as_json)
     pieces, count = _flat(faces if as_json else (["".join(f)] for f in faces),
@@ -85,13 +87,15 @@ def faces_report(g: ColoredGraph | StrandedGraph, as_json: bool) -> str:
     pieces[0] = (f'{{\n  "tool_version": {_quote(__version__)},\n  "mode": '
                  f'"{"colored" if colored else "stranded"}",\n  "count": {count},\n  "faces": ['
                  if as_json else f"faces: {count}")
-    pieces.append(("\n  ]\n}" if count else "]\n}") if as_json else "")
-    return "".join(pieces)
+    if as_json:
+        pieces.append("\n  ]\n}" if count else "]\n}")
+    return pieces
 
 
-def bubbles_report(g: ColoredGraph, as_json: bool) -> str:
-    """The ``bubbles`` report over three colors: one record per bubble
-    with its ribbon counts, then the totals and the genus histogram."""
+def bubbles_report(g: ColoredGraph, as_json: bool) -> list[str]:
+    """The pieces of the ``bubbles`` report over three colors: one record
+    per bubble with its ribbon counts, then the totals and the genus
+    histogram."""
     from .bubbles import _bubble_records
     head, tail = (cache(part.format) for part in (_BUBBLE_JSON if as_json else _BUBBLE_TEXT))
     g._inverses  # a malformed graph raises here, before its labels are quoted
@@ -119,4 +123,4 @@ def bubbles_report(g: ColoredGraph, as_json: bool) -> str:
                   f'\n  ],\n  "total": {total},\n  "planar_count": {genera[0]},\n'
                   f'  "genus_histogram": {{\n{hist}\n  }}\n}}' if total else
                   '],\n  "total": 0,\n  "planar_count": 0,\n  "genus_histogram": {}\n}')
-    return "".join(pieces)
+    return pieces

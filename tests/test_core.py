@@ -864,3 +864,40 @@ class TestRecords:
         assert (g.white_index, g.black_index) == (quad.white_index, quad.black_index)
         copy = pickle.loads(pickle.dumps(s))
         assert copy._index == s._index and copy.halfedge_refs == s.halfedge_refs
+
+
+class TestElementTypes:
+    """An element of ``vertices`` or ``edges`` that is no StrandedVertex or
+    StrandedEdge once raised AttributeError from every stranded entry point."""
+
+    @pytest.mark.parametrize("s, message", [
+        (StrandedGraph(3, (None,), ()), "vertices[0] must be StrandedVertex, got NoneType"),
+        (StrandedGraph(3, (VT[0], ("u", ("h4", "h5", "h6", "h7"))), ()),
+         "vertices[1] must be StrandedVertex, got tuple"),
+        (StrandedGraph(3, VT, (ET[0], None)), "edges[1] must be StrandedEdge, got NoneType"),
+    ], ids=["none-vertex", "tuple-vertex", "none-edge"])
+    @pytest.mark.parametrize("entry", STRANDED_ENTRIES + [lambda s: list(s.slots())])
+    def test_elements_of_the_wrong_type_raise(self, entry, s, message):
+        for _ in range(2):
+            with raises_exactly(BadParameters, message):
+                entry(s)
+
+
+class TestPickledGraphs:
+    """A graph pickles its fields only.  Its cached indices once made the
+    pickle of a parsed random n=1000 graph 35,845 bytes against 24,833, and
+    the unpickled graph trusted a cache that no check had built."""
+
+    @pytest.mark.parametrize("g, index, walk", [
+        (random_colored(3, 1000, 7), "_inverses", bicolored_face_count),
+        (to_stranded(random_colored(3, 200, 7)), "_index", trace_faces),
+    ], ids=["colored", "stranded"])
+    def test_only_the_fields_are_pickled(self, g, index, walk):
+        g = parse_graph(serialize_graph(g))
+        assert index in vars(g)  # handed over by the builder
+        data = pickle.dumps(g)
+        assert len(data) == len(pickle.dumps(g._replace()))
+        copy = pickle.loads(data)
+        assert copy == g and type(copy) is type(g) and vars(copy) == {}
+        assert walk(copy) == walk(g)
+        assert getattr(copy, index) == getattr(g, index)
