@@ -9,7 +9,8 @@ Exit codes: 0 success / property holds; 1 graph invalid or property
 fails; 2 parse or usage error; 3 internal fault.
 
 A report is a str or its pieces: the large reports hand over the piece
-lists they build, and payloads are encoded lazily by
+lists they build, a graph document is the pieces that ``formats`` writes
+from the graph, and every other payload is encoded lazily by
 ``json.JSONEncoder(indent=2).iterencode``.  ``run`` joins the pieces;
 ``main`` writes them as they come.
 """
@@ -21,7 +22,7 @@ import json
 import os
 import sys
 from collections import namedtuple
-from itertools import islice
+from itertools import chain, islice
 
 from . import __version__
 from .errors import (
@@ -221,9 +222,11 @@ def _cmd_check_colorable(args) -> CommandResult:
     result = colorability(s)
     if result.colorable:
         assert result.witness is not None
-        if args.json:
-            return CommandResult(0, _json_report({"colorable": True,
-                                                  "witness": _document(result.witness)}))
+        if args.json:  # the witness's document, nested one level deeper
+            head = (f'{{\n  "tool_version": {json.dumps(__version__)},\n  "colorable": true,\n'
+                    '  "witness": ')
+            witness = (piece.replace("\n", "\n  ") for piece in _document(result.witness))
+            return CommandResult(0, chain([head], witness, ["\n}"]))
         return CommandResult(0, (
             "colorable\n"
             f"  whites: {' '.join(result.witness.whites)}\n"
@@ -279,8 +282,7 @@ def _cmd_random(args) -> CommandResult:
         g = random_connected(args.rank, args.size, args.seed, args.max_attempts)
     else:
         g = random_colored(args.rank, args.size, args.seed)
-    # serialize_graph's document, encoded as it is written
-    return CommandResult(0, _write_out(_ENCODER.iterencode(_document(g)), args.output))
+    return CommandResult(0, _write_out(_document(g), args.output))
 
 
 def _census_payload(report: CensusReport) -> dict:
@@ -315,9 +317,8 @@ def _cmd_census(args) -> CommandResult:
 
 
 def _cmd_export_dot(args) -> CommandResult:
-    from .formats import export_dot
-    g = _load(args.file)
-    return CommandResult(0, _write_out([export_dot(g).decode().rstrip("\n")], args.output))
+    from .formats import _dot
+    return CommandResult(0, _write_out(_dot(_load(args.file)), args.output))
 
 
 # -- parser -------------------------------------------------------------------

@@ -303,7 +303,7 @@ class StrandedGraph(_StrandedFields):
     def slots(self) -> Iterator[StrandSlot]:
         """Every strand slot of the graph, (D+1)*D per vertex."""
         self._index  # a malformed graph raises here, as on every walk
-        labels = _slot_labels(self.rank)
+        labels = _slot_labels(self.rank) if self.vertices else []  # no vertex, no table
         return (StrandSlot(v.label, pos, slot) for v in self.vertices for pos, slot in labels)
 
 

@@ -22,7 +22,10 @@ canonical key order and round-trips exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
+from functools import cache
+from typing import Iterator
 
 from .core import (
     ColoredGraph,
@@ -134,73 +137,88 @@ def parse_graph(document: bytes | str) -> ColoredGraph | StrandedGraph:
     return build_stranded(rank, vertices, edges)
 
 
-def _document(g: ColoredGraph | StrandedGraph) -> dict:
-    """The document of ``g``; insertion order is the canonical key order."""
+_quote = json.encoder.encode_basestring_ascii  # a label as json.dumps writes it
+
+
+def _array(records: Iterator[str], indent: str = "  ") -> Iterator[str]:
+    """The pieces of a JSON array laid out as json.dumps(indent=2) lays it
+    out at ``indent``: each record begins with ",\\n" and its own indent."""
+    first = next(records, None)
+    yield "[]" if first is None else "[" + first[1:]
+    if first is not None:
+        yield from records
+        yield "\n" + indent + "]"
+
+
+def _document(g: ColoredGraph | StrandedGraph) -> Iterator[str]:
+    """The pieces of ``g``'s document, without its last newline: its fields
+    in canonical key order, laid out as json.dumps(indent=2) lays them out.
+    Each label is quoted once, and each kind of record is written by one
+    %-template, built only when such a record exists."""
     if isinstance(g, ColoredGraph):
         g._inverses  # a malformed graph raises here, not when its document is read back
-        return {
-            "format": COLORED_FORMAT,
-            "version": FORMAT_VERSION,
-            "rank": g.rank,
-            "whites": list(g.whites),
-            "blacks": list(g.blacks),
-            "edges": [
-                {"color": e.color, "white": e.white, "black": e.black}
-                for e in g.edges()
-            ],
-        }
-    g._index  # a malformed graph raises here, not when its document is read back
-    ident = identity_permutation(g.rank)
-    edges = []
-    for e in g.edges:
-        entry: dict = {"halfedges": list(e.halfedges)}
-        if e.permutation != ident:
-            entry["strand_permutation"] = list(e.permutation)
-        edges.append(entry)
-    return {
-        "format": STRANDED_FORMAT,
-        "version": FORMAT_VERSION,
-        "rank": g.rank,
-        "vertices": [
-            {"id": v.label, "halfedges": list(v.halfedges)} for v in g.vertices
-        ],
-        "edges": edges,
-    }
+        whites, blacks = list(map(_quote, g.whites)), list(map(_quote, g.blacks))
+        edge = ',\n    {{\n      "color": {},\n      "white": %s,\n      "black": %s\n    }}'.format
+        fmt, fields = COLORED_FORMAT, {
+            "whites": map(",\n    ".__add__, whites),
+            "blacks": map(",\n    ".__add__, blacks),
+            "edges": itertools.chain.from_iterable(  # no row is read at n = 0
+                map(edge(c).__mod__, zip(whites, map(blacks.__getitem__, sigma)))
+                for c, sigma in enumerate(g.matchings if g.n else ()))}
+    else:
+        g._index  # a malformed graph raises here, not when its document is read back
+        halves = {h: _quote(h) for v in g.vertices for h in v.halfedges}
+        ident = identity_permutation(g.rank) if g.edges else ()
+        # a record's array of ``count`` values, templated once per count
+        slots = cache(lambda count: "".join(_array(iter([",\n        %s"] * count), "      ")))
+        vertex = ',\n    {\n      "id": %s,\n      "halfedges": %s\n    }'
+        edge = ',\n    {\n      "halfedges": [\n        %s,\n        %s\n      ]%s\n    }'
+        fmt, fields = STRANDED_FORMAT, {
+            "vertices": (vertex % (_quote(label), slots(g.rank + 1) % tuple(
+                map(halves.__getitem__, hs))) for label, hs in g.vertices),
+            "edges": (edge % (halves[h1], halves[h2], "" if perm == ident else
+                              ',\n      "strand_permutation": ' + slots(g.rank) % perm)
+                      for (h1, h2), perm in g.edges)}
+    yield f'{{\n  "format": "{fmt}",\n  "version": {FORMAT_VERSION},\n  "rank": {g.rank}'
+    for key, records in fields.items():
+        yield f',\n  "{key}": '
+        yield from _array(records)
+    yield "\n}"
 
 
 def serialize_graph(g: ColoredGraph | StrandedGraph) -> bytes:
     """Canonical document bytes; parse(serialize(g)) == g."""
-    return (json.dumps(_document(g), indent=2) + "\n").encode("utf-8")
+    return ("".join(_document(g)) + "\n").encode("utf-8")
 
 
-def _quote(label: str) -> str:
+def _dot_quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _dot(g: ColoredGraph | StrandedGraph) -> Iterator[str]:
+    """The pieces of ``g``'s DOT text, without its last newline."""
+    yield "graph tensorgraph {"
+    if isinstance(g, ColoredGraph):
+        g._inverses  # a malformed graph raises here
+        yield from (f"\n  {_dot_quote(v)} [shape=circle, style=solid];" for v in g.whites)
+        yield from (f"\n  {_dot_quote(v)} [shape=circle, style=filled, fillcolor=black];"
+                    for v in g.blacks)
+        yield from (f"\n  {_dot_quote(e.white)} -- {_dot_quote(e.black)} "
+                    f"[color={e.color}, label={e.color}];" for e in g.edges())
+    else:
+        index, d = g._index, g.rank + 1  # a malformed graph raises here
+        ident = identity_permutation(g.rank) if g.edges else ()
+        yield from (f"\n  {_dot_quote(v.label)} [shape=circle];" for v in g.vertices)
+        for e, (x1, x2) in zip(g.edges, index.ends):
+            label = f"{e.halfedges[0]}/{e.halfedges[1]}"
+            if e.permutation != ident:
+                label += " twist " + ",".join(map(str, e.permutation))
+            yield (f"\n  {_dot_quote(index.order[x1 // d])} -- "
+                   f"{_dot_quote(index.order[x2 // d])} [label={_dot_quote(label)}];")
+    yield "\n}"
 
 
 def export_dot(g: ColoredGraph | StrandedGraph) -> bytes:
     """DOT rendering: hollow circles for whites, filled for blacks,
     edge ``color`` attribute carrying the color id."""
-    lines = ["graph tensorgraph {"]
-    if isinstance(g, ColoredGraph):
-        g._inverses  # a malformed graph raises here
-        for label in g.whites:
-            lines.append(f"  {_quote(label)} [shape=circle, style=solid];")
-        for label in g.blacks:
-            lines.append(f"  {_quote(label)} [shape=circle, style=filled, fillcolor=black];")
-        for e in g.edges():
-            lines.append(
-                f"  {_quote(e.white)} -- {_quote(e.black)} "
-                f"[color={e.color}, label={e.color}];")
-    else:
-        index, d = g._index, g.rank + 1  # a malformed graph raises here
-        ident = identity_permutation(g.rank)
-        for v in g.vertices:
-            lines.append(f"  {_quote(v.label)} [shape=circle];")
-        for e, (x1, x2) in zip(g.edges, index.ends):
-            label = f"{e.halfedges[0]}/{e.halfedges[1]}"
-            if e.permutation != ident:
-                label += " twist " + ",".join(str(k) for k in e.permutation)
-            lines.append(f"  {_quote(index.order[x1 // d])} -- {_quote(index.order[x2 // d])} "
-                         f"[label={_quote(label)}];")
-    lines.append("}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return ("".join(_dot(g)) + "\n").encode("utf-8")

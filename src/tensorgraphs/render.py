@@ -11,13 +11,13 @@ piece, is joined first.  The pieces of the --json form join to
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from functools import cache
 from typing import Iterable, Iterator
 
 from . import __version__
 from .core import ColoredGraph, StrandedGraph, _slot_labels
+from .formats import _quote
 from .topology import _colored_face_walks, _strand_circuits
 
 # pieces laid out as json.dumps(indent=2) lays out the payload
@@ -36,7 +36,6 @@ _BUBBLE_JSON = (  # colors, then counts
     '      "vertices": [\n', '\n      ],\n      "v": {0},\n      "e": {1},\n      "f": {2},\n'
     '      "chi": {3},\n      "genus": {4},\n      "planar": {5}\n    }}')
 _BUBBLE_TEXT = (" colors {{{0},{1},{2}}}", " V={0} E={1} F={2} chi={3} genus={4} {6}")
-_quote = json.encoder.encode_basestring_ascii
 
 
 def _flat(records: Iterable[list[str]], sep: str) -> tuple[list[str], int]:
@@ -67,7 +66,7 @@ def _colored_faces(g: ColoredGraph, as_json: bool) -> Iterator[list[str]]:
 def _stranded_faces(s: StrandedGraph, as_json: bool) -> Iterator[list[str]]:
     head, vertex, slot, sep, end = _STRANDED_JSON if as_json else _STRANDED_TEXT
     heads = [vertex.format(_quote(v) if as_json else v) for v in s._index.order]
-    tails = [slot.format(p, q) for p, q in _slot_labels(s.rank)]
+    tails = [slot.format(p, q) for p, q in _slot_labels(s.rank)] if heads else []
     seps, ends, head = [t + sep for t in tails], [t + end for t in tails], cache(head.format)
     for cycle in _strand_circuits(s):  # slot x is slot x % len(tails) of vertex x // len(tails)
         face = [head(len(cycle) // 2)] + [sep] * 2 * len(cycle)

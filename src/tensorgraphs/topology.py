@@ -55,9 +55,9 @@ def _strand_circuits(s: StrandedGraph) -> Iterator[list[int]]:
     each starts there and takes the edge transition first."""
     rank = s.rank
     glue = s._index.glue
-    # within a vertex, slot q of position p pairs with slot p of position q
+    # within a vertex, slot q of position p pairs with slot p of position q (no slot, no table)
     block = rank * (rank + 1)
-    pairing = [q * rank + p - (p > q) for p, q in _slot_labels(rank)]
+    pairing = [q * rank + p - (p > q) for p, q in _slot_labels(rank)] if glue else []
     seen = bytearray(len(glue))
     for start in range(len(glue)):
         if seen[start]:

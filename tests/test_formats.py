@@ -1,5 +1,7 @@
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,18 +12,22 @@ from tensorgraphs import (
     StrandedEdge,
     StrandedGraph,
     StrandedVertex,
+    __version__,
     bicolored_face_count,
     build_colored,
     build_stranded,
+    colorability,
     export_dot,
     parse_graph,
     serialize_graph,
     to_stranded,
     trace_faces,
 )
+from tensorgraphs.cli import run
 
-from .test_core import colored_graphs
-from .test_reports import escaped_colored
+from .conftest import deadline, melonic, planted
+from .test_core import colored_graphs, ranked_colored
+from .test_reports import escaped_colored, escaped_twisted
 from tensorgraphs.errors import (
     DanglingHalfEdge,
     DuplicateColorAtVertex,
@@ -438,3 +444,92 @@ class TestForeignValues:
         except TensorGraphError:
             return
         assert parse_graph(document) == g
+
+
+def document_oracle(g):
+    """The document of ``g`` as a dict in canonical key order: the recipe
+    whose json.dumps(indent=2) the writer's bytes must equal."""
+    if isinstance(g, ColoredGraph):
+        return {
+            "format": "colored-tensor-graph",
+            "version": 1,
+            "rank": g.rank,
+            "whites": list(g.whites),
+            "blacks": list(g.blacks),
+            "edges": [{"color": e.color, "white": e.white, "black": e.black} for e in g.edges()],
+        }
+    edges = []
+    for e in g.edges:
+        entry: dict = {"halfedges": list(e.halfedges)}
+        if e.permutation != tuple(range(g.rank)):
+            entry["strand_permutation"] = list(e.permutation)
+        edges.append(entry)
+    return {
+        "format": "stranded-tensor-graph",
+        "version": 1,
+        "rank": g.rank,
+        "vertices": [{"id": v.label, "halfedges": list(v.halfedges)} for v in g.vertices],
+        "edges": edges,
+    }
+
+
+@st.composite
+def twisted_expansions(draw):
+    """The stranded expansion of a colored graph at rank 2 to 5, escaped
+    labels too, with every k-th edge glued by one drawn strand permutation."""
+    g = draw(st.one_of(ranked_colored(), escaped_colored()))
+    k = draw(st.integers(min_value=1, max_value=7))
+    perm = tuple(draw(st.permutations(range(g.rank))))
+    s = to_stranded(g)
+    return s._replace(edges=tuple(e._replace(permutation=perm) if i % k == 0 else e
+                                  for i, e in enumerate(s.edges)))
+
+
+SIZES = st.integers(min_value=2, max_value=60)
+SEEDS = st.integers(min_value=0, max_value=1 << 32)
+
+
+class TestWriter:
+    """The writer lays a document out straight from the graph, byte for
+    byte as json.dumps(indent=2) lays out the oracle's dict."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        colored_graphs(), ranked_colored(), escaped_colored(), escaped_twisted(),
+        twisted_expansions(), stranded_documents().map(lambda doc: parse_graph(doc_bytes(doc))),
+        st.builds(melonic, st.integers(min_value=2, max_value=5), SIZES, SEEDS),
+        st.builds(planted, SIZES, SEEDS)))
+    def test_bytes_equal_json_dumps(self, g):
+        assert serialize_graph(g) == (json.dumps(document_oracle(g), indent=2) + "\n").encode()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(ranked_colored(), escaped_colored(),
+                     st.builds(melonic, st.integers(min_value=2, max_value=5), SIZES, SEEDS)))
+    def test_witness_is_spliced_one_level_deep(self, g):
+        """check colorable --json nests the witness's own pieces."""
+        s = to_stranded(g)
+        witness = colorability(s).witness
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "graph.json"
+            path.write_bytes(serialize_graph(s))
+            report = run(["check", "colorable", str(path), "--json"])
+        assert report == (0, json.dumps({"tool_version": __version__, "colorable": True,
+                                         "witness": document_oracle(witness)}, indent=2))
+
+    @pytest.mark.parametrize("make", [lambda: build_colored(10**5, [], [], []),
+                                      lambda: build_stranded(10**5, [], [])],
+                             ids=["colored", "stranded"])
+    def test_empty_graph_at_rank_100000(self, make):
+        """No record, so no template and no identity permutation of rank
+        entries (3.99 MB for the stranded graph before)."""
+        g = make()
+        expected = (json.dumps(document_oracle(g), indent=2) + "\n").encode()
+        with deadline(5):
+            assert serialize_graph(g) == expected  # checks the graph, untraced
+        tracemalloc.start()
+        try:
+            written = serialize_graph(g), export_dot(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written == (expected, b"graph tensorgraph {\n}\n") and peak < 1_000_000

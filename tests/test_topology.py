@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from tensorgraphs import (
     ColoredGraph,
     bicolored_face_count,
     bicolored_faces,
+    build_stranded,
     euler_characteristic,
     genus,
     is_planar,
@@ -307,3 +309,16 @@ class TestCrossValidation:
                 by_pair_colored.setdefault(pair, []).append(len(cycle))
             assert {k: sorted(v) for k, v in by_pair_stranded.items()} == \
                    {k: sorted(v) for k, v in by_pair_colored.items()}
+
+
+def test_empty_stranded_graph_builds_no_slot_table():
+    """No vertex, so no table of a vertex's rank^2 slot labels: slots() and
+    the strand walk each built one, 250,500 entries at rank 500."""
+    s = build_stranded(500, [], [])
+    tracemalloc.start()
+    try:
+        found = list(s.slots()), trace_faces(s).count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == ([], 0) and peak < 100_000

@@ -7,7 +7,8 @@ import tracemalloc
 
 import pytest
 
-from tensorgraphs import cli, random_colored, serialize_graph, to_stranded
+from tensorgraphs import cli, formats, random_colored, serialize_graph, to_stranded
+from tensorgraphs.checks import ColorabilityResult
 from tensorgraphs.cli import run
 
 from .conftest import deadline
@@ -84,7 +85,10 @@ def test_single_piece_is_written_in_exact_slices(tmp_path, monkeypatch):
     path = tmp_path / "large.json"
     path.write_bytes(serialize_graph(random_colored(3, 20000, 5)))
     argv = ["export-dot", str(path)]
-    piece, = cli._execute(argv).report  # one piece of several MB
+    # export-dot's text joined, as one piece of several MB
+    monkeypatch.setattr(cli, "_cmd_export_dot", lambda args: cli.CommandResult(
+        0, ["".join(formats._dot(cli._load(args.file)))]))
+    piece, = cli._execute(argv).report
     size = len(piece)
     assert size > 50 * cli._SLICE and run(argv).report == piece
     stdout = Recorder()
@@ -140,7 +144,8 @@ def test_fault_while_encoding_exits_3(tmp_path, monkeypatch, capsys):
     main() writes nothing of the report."""
     path = tmp_path / "g.json"
     path.write_bytes(serialize_graph(random_colored(3, 4, 1)))
-    monkeypatch.setattr("tensorgraphs.formats._document", lambda g: {"format": {1}})
+    monkeypatch.setattr("tensorgraphs.checks.colorability",
+                        lambda s: ColorabilityResult(False, None, {1}))
     argv = ["check", "colorable", str(path), "--json"]
     message = "internal error: TypeError: Object of type set is not JSON serializable"
     assert run(argv) == (3, message)
@@ -179,3 +184,17 @@ def test_report_peaks_no_higher_than_validate(tmp_path, monkeypatch, command, ma
     path.write_bytes(serialize_graph(make()))
     validate = _main_peak(monkeypatch, ["validate", str(path)])
     assert _main_peak(monkeypatch, [*command, str(path), "--json"]) <= 1.05 * validate
+
+
+def test_random_peaks_within_four_times_its_graph(monkeypatch):
+    """random writes its document from the graph as it goes: no payload
+    tree (4.9 times the graph before)."""
+    tracemalloc.start()
+    try:
+        g = random_colored(3, 3000, 3)
+        graph = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 3000
+    argv = ["random", "--rank", "3", "--size", "3000", "--seed", "3"]
+    assert _main_peak(monkeypatch, argv) <= 4 * graph
