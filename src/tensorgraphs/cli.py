@@ -379,7 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallelism hint; never changes the output")
+                   help="parallelism hint: forks up to JOBS-1 workers from this process, capped "
+                   "at the CPU and sample counts; never changes the output")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_census)
 

@@ -23,21 +23,25 @@ draw-by-draw stream.
 
 A sample's faces, bubble genera and connectivity come from
 ``core._triple_counts``, the one pass over the color triples that
-``dual`` and ``genus`` read too.
+``dual`` and ``genus`` read too.  A parallel census forks its workers
+from the calling process, with no ``multiprocessing``, and each sends
+its totals back on its own pipe.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
 import operator
 import os
 import struct
+import sys
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple
+from typing import BinaryIO, Callable, Iterator, NamedTuple, NoReturn
 
 from .core import ColoredGraph, _connected, _inverse, _triple_counts
-from .errors import AttemptsExhausted, BadParameters
+from .errors import AttemptsExhausted, BadParameters, InvariantViolation
 
 GENERATOR_ID = "splitmix64/fisher-yates/v1"
 
@@ -73,10 +77,7 @@ class SplitMix64:
         """Uniform draw in [0, bound) by rejection; no modulo bias.
         Raises ``BadParameters`` for a bound that is not an int, or is
         below 1, before any draw."""
-        if not isinstance(bound, int):
-            raise BadParameters(f"bound must be an int, got {bound!r}")
-        if bound < 1:
-            raise BadParameters(f"bound must be >= 1, got {bound}")
+        _require(bound=(bound, 1))
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             r = self.next_u64()
@@ -152,13 +153,13 @@ def _sampler(rank: int, n: int) -> Callable[[int], ColoredGraph]:
     return draw
 
 
-def _check_params(rank: int, n: int, seed: int) -> None:
-    if rank < 2:
-        raise BadParameters(f"rank must be >= 2, got {rank}")
-    if n < 1:
-        raise BadParameters(f"n must be >= 1, got {n}")
-    if not isinstance(seed, int) or seed < 0:
-        raise BadParameters(f"seed must be a non-negative integer, got {seed!r}")
+def _require(**least: tuple[object, int]) -> None:
+    """Raise ``BadParameters`` unless each value is an int of at least its bound."""
+    for name, (value, bound) in least.items():
+        if not isinstance(value, int):
+            raise BadParameters(f"{name} must be an int, got {value!r}")
+        if value < bound:
+            raise BadParameters(f"{name} must be >= {bound}, got {value}")
 
 
 def random_colored(rank: int, n: int, seed: int) -> ColoredGraph:
@@ -168,7 +169,7 @@ def random_colored(rank: int, n: int, seed: int) -> ColoredGraph:
     color-c edge joins white i to black sigma_c(i).  The same (rank, n,
     seed) always yields the same graph, on any platform.
     """
-    _check_params(rank, n, seed)
+    _require(rank=(rank, 2), n=(n, 1), seed=(seed, 0))
     return _sampler(rank, n)(seed)
 
 
@@ -179,9 +180,7 @@ def random_connected(rank: int, n: int, seed: int, max_attempts: int = 100) -> C
     exactly uniform on the connected slice.  Raises AttemptsExhausted
     (carrying the attempt count) when the budget runs out.
     """
-    _check_params(rank, n, seed)
-    if max_attempts < 1:
-        raise BadParameters(f"max_attempts must be >= 1, got {max_attempts}")
+    _require(rank=(rank, 2), n=(n, 1), seed=(seed, 0), max_attempts=(max_attempts, 1))
     draw = _sampler(rank, n)
     for attempt in range(max_attempts):
         g = draw(subseed(seed, attempt))
@@ -223,7 +222,7 @@ def _sample_stats(g: ColoredGraph) -> tuple[int, tuple[int, ...], bool]:
     return faces, genera, one_bubble or _connected(g)
 
 
-def _census_part(args: tuple[int, int, int, range]) -> tuple[int, Counter, Counter, int]:
+def _census_part(args: tuple[int, int, int, range]) -> tuple[int, dict, dict, int]:
     """Totals over the samples at ``indices``: faces, samples by bubble
     count, bubbles by genus, and connected samples."""
     rank, n, seed, indices = args
@@ -237,56 +236,84 @@ def _census_part(args: tuple[int, int, int, range]) -> tuple[int, Counter, Count
         bubble_counts[len(genera)] += 1
         genus_hist.update(genera)
         connected += c
-    return faces, bubble_counts, genus_hist, connected
+    return faces, dict(bubble_counts), dict(genus_hist), connected
 
 
-def census(
-    rank: int,
-    n: int,
-    samples: int,
-    seed: int,
-    parallelism: int = 1,
-) -> CensusReport:
+def _worker(part: tuple[int, int, int, range], out: BinaryIO) -> NoReturn:
+    """A forked child: write the part's totals (marshal) or its exception
+    (pickled) to ``out`` and leave by ``os._exit``, 0 after totals and 1
+    after an exception, never into the caller's stack.  A profiler stops,
+    as its records could not reach the caller."""
+    status = 2
+    try:
+        sys.setprofile(None)
+        try:
+            reply, written = marshal.dumps(_census_part(part)), 0
+        except BaseException as err:
+            import pickle
+            reply, written = pickle.dumps(err), 1
+        out.write(reply)
+        out.flush()
+        status = written
+    finally:
+        os._exit(status)
+
+
+def _census_parts(parts: list[tuple[int, int, int, range]]) -> list[tuple[int, dict, dict, int]]:
+    """Every part's totals: ``parts[0]`` in this process, each other part
+    in a child forked from it (``_worker``), whose pipe is read once this
+    part is done.  Every child is reaped and every pipe closed on every
+    path; if this part or a read fails, the children are killed first."""
+    readers: list[BinaryIO] = []
+    pids: list[int] = []
+    try:
+        for part in parts[1:]:
+            read, write = os.pipe()
+            readers.append(open(read, "rb"))
+            with open(write, "wb") as out:
+                pids.append(os.fork() or _worker(part, out))  # fork() is 0 in the child
+        totals = [_census_part(parts[0])]
+        replies = [reader.read() for reader in readers]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL
+        raise
+    finally:
+        for reader in readers:
+            reader.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for (*_, indices), reply, code in zip(parts[1:], replies, codes):
+        if code == 1:
+            import pickle
+            raise pickle.loads(reply)
+        if code:
+            raise InvariantViolation(f"census worker for samples {indices.start}.."
+                                     f"{indices.stop - 1} ended without a result ({code})")
+        totals.append(marshal.loads(reply))
+    return totals
+
+
+def census(rank: int, n: int, samples: int, seed: int, parallelism: int = 1) -> CensusReport:
     """Survey ``samples`` independent graphs and aggregate their invariants.
 
     Sample j uses sub-seed ``subseed(seed, j)``, so samples are
     independent streams and the report is identical for any degree of
     parallelism; ``parallelism`` is a throughput hint only, capped at the
-    CPU count and the sample count, and 1 after the cap runs serially.
-    Samples are folded into running totals as they are drawn; each
-    worker totals one contiguous range of samples, and the totals add.
+    CPU count and the sample count, and 1 after the cap, or no
+    ``os.fork``, runs serially.  Each worker totals one contiguous range
+    of samples, folding them in as they are drawn, and the totals add.
+    The workers are this process and children forked from it; a
+    worker's exception re-raises here, and a worker that ends without a
+    result raises ``InvariantViolation``.
     """
-    _check_params(rank, n, seed)
-    if samples < 1:
-        raise BadParameters(f"samples must be >= 1, got {samples}")
-    if parallelism < 1:
-        raise BadParameters(f"parallelism must be >= 1, got {parallelism}")
-
-    workers = min(parallelism, os.cpu_count() or 1, samples)
+    _require(rank=(rank, 2), n=(n, 1), seed=(seed, 0), samples=(samples, 1),
+             parallelism=(parallelism, 1))
+    workers = min(parallelism, os.cpu_count() or 1, samples) if hasattr(os, "fork") else 1
     parts = [(rank, n, seed, range(samples * w // workers, samples * (w + 1) // workers))
              for w in range(workers)]
-    if workers > 1:
-        import multiprocessing
-        with multiprocessing.Pool(workers) as pool:
-            totals = pool.map(_census_part, parts)
-    else:
-        totals = [_census_part(parts[0])]
-
-    faces, bubble_counts, genus_hist, connected = totals[0]
-    for f, counts, genera, c in totals[1:]:
-        faces += f
-        bubble_counts.update(counts)
-        genus_hist.update(genera)
-        connected += c
-    return CensusReport(
-        samples=samples,
-        rank=rank,
-        n=n,
-        seed=seed,
-        mean_faces=Fraction(faces, samples),
-        bubble_count_distribution={k: bubble_counts[k] for k in sorted(bubble_counts)},
-        genus_histogram={k: genus_hist[k] for k in sorted(genus_hist)},
-        planar_fraction=Fraction(genus_hist[0], sum(genus_hist.values())),
-        connected_fraction=Fraction(connected, samples),
-        generator_id=GENERATOR_ID,
-    )
+    faces, bubble_counts, genus_hists, connected = zip(*_census_parts(parts))
+    genera: Counter = sum(map(Counter, genus_hists), Counter())
+    return CensusReport(samples, rank, n, seed, Fraction(sum(faces), samples),
+                        dict(sorted(sum(map(Counter, bubble_counts), Counter()).items())),
+                        dict(sorted(genera.items())), Fraction(genera[0], sum(genera.values())),
+                        Fraction(sum(connected), samples), GENERATOR_ID)

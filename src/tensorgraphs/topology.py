@@ -81,7 +81,8 @@ def trace_faces(s: StrandedGraph) -> FaceSet:
     first, so output is deterministic.  Every slot lies in exactly one
     face.
     """
-    slots = [StrandSlot(v, p, q) for v in s._index.order for p, q in _slot_labels(s.rank)]
+    labels = _slot_labels(s.rank) if s._index.order else []  # checked; one table, or none
+    slots = [StrandSlot(v, p, q) for v in s._index.order for p, q in labels]
     faces = tuple(tuple(map(slots.__getitem__, cycle)) for cycle in _strand_circuits(s))
     return FaceSet(faces, len(faces))
 

@@ -110,10 +110,12 @@ SERIAL_CENSUS = ["census", "--rank", "3", "--size", "3", "--samples", "5", "--se
                  "--jobs", "1"]
 
 
-def test_serial_census_loads_no_multiprocessing():
-    loaded = _loaded_after(SERIAL_CENSUS)
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=["serial", "parallel"])
+def test_census_loads_no_multiprocessing_or_pickle(jobs):
+    # workers are forked from the CLI process; only a worker's exception is pickled
+    loaded = _loaded_after([*SERIAL_CENSUS[:-1], jobs])
     assert "tensorgraphs.sampling" in loaded
-    assert "multiprocessing" not in loaded
+    assert loaded.isdisjoint(["multiprocessing", "pickle"])
 
 
 def test_census_loads_no_bubbles_or_topology():

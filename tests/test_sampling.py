@@ -1,8 +1,11 @@
 import functools
 import itertools
 import math
-import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -27,7 +30,8 @@ from tensorgraphs import (
     subseed,
     validate_colored,
 )
-from tensorgraphs.errors import AttemptsExhausted, BadParameters
+from tensorgraphs.cli import run
+from tensorgraphs.errors import AttemptsExhausted, BadParameters, InvariantViolation
 
 # Reference outputs of the published generator (stream seeded at 0).
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -252,34 +256,45 @@ class TestCensus:
         with pytest.raises(BadParameters):
             census(3, 1, 10, 5, parallelism=0)
 
-    @pytest.mark.parametrize("cpus, samples, workers", [
-        (4, 60, [4]),      # capped at the CPU count
-        (4, 3, [3]),       # capped at the sample count
-        (1, 60, []),       # one worker runs serially, no pool
-        (None, 60, []),    # unknown CPU count counts as one
+    @pytest.mark.parametrize("call", [
+        lambda: census(3, 2, 10.0, 1),
+        lambda: census(3.0, 2, 10, 1),
+        lambda: census(3, 2.0, 10, 1),
+        lambda: census(3, 2, 10, 1, parallelism=2.5),
+        lambda: random_colored(3, 2.0, 1),
+        lambda: random_colored(3.0, 2, 1),
+        lambda: random_connected(3, 2, 1, max_attempts=2.0),
+    ], ids=["samples", "rank", "n", "parallelism", "random-n", "random-rank", "max-attempts"])
+    def test_parameters_of_the_wrong_type(self, monkeypatch, call):
+        """Rejected before any draw or fork."""
+        def forbidden(*_args):
+            raise AssertionError("drew or forked before checking its parameters")
+
+        monkeypatch.setattr(sampling, "_sampler", forbidden)
+        monkeypatch.setattr(os, "fork", forbidden)
+        with pytest.raises(BadParameters, match=r"^\w+ must be an int, got \d+\.\d+$"):
+            call()
+
+    @pytest.mark.parametrize("cpus, samples, forks", [
+        (4, 60, 3),      # capped at the CPU count
+        (4, 3, 2),       # capped at the sample count
+        (1, 60, 0),      # one worker runs serially, in this process
+        (None, 60, 0),   # unknown CPU count counts as one
     ], ids=["cpus", "samples", "one-cpu", "unknown-cpus"])
-    def test_pool_size_is_capped(self, monkeypatch, cpus, samples, workers):
-        """No process starts: the pool is a recorder that maps in this one."""
-        sizes = []
+    def test_fork_count_is_capped(self, monkeypatch, cpus, samples, forks):
+        """This process is one of the workers: it forks one child fewer."""
+        calls = []
+        real_fork = os.fork
 
-        class SerialPool:
-            def __init__(self, size):
-                sizes.append(size)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *_exc):
-                return False
-
-            def map(self, fn, jobs):
-                return list(map(fn, jobs))
+        def fork():
+            calls.append(None)
+            return real_fork()
 
         expected = census(3, 2, samples, 9)
-        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert census(3, 2, samples, 9, parallelism=10**6) == expected
-        assert sizes == workers
+        assert len(calls) == forks
 
     @pytest.mark.parametrize("seed, samples, expected", [
         (REJECTING_SEED, 50,
@@ -344,6 +359,99 @@ class TestCensus:
         total_bubbles = sum(report.genus_histogram.values())
         assert report.planar_fraction == Fraction(
             report.genus_histogram.get(0, 0), total_bubbles)
+
+
+@pytest.fixture
+def reaped():
+    """Checks, after the test, that every forked child was reaped and no
+    file descriptor was left open."""
+    fds = len(os.listdir("/proc/self/fd"))
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+CENSUS_ARGV = ["census", "--rank", "3", "--size", "4", "--samples", "10", "--seed", "1"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+@pytest.mark.usefixtures("reaped")
+@pytest.mark.filterwarnings("error::ResourceWarning",
+                            "error::pytest.PytestUnraisableExceptionWarning")
+class TestCensusWorkers:
+    """Parallel censuses on two CPUs, whatever the machine has: samples
+    0..4 in this process, 5..9 in one forked child."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    @staticmethod
+    def plant(monkeypatch, fault, in_child=True):
+        """Run ``fault`` in place of the census part of the child (or of
+        this process) only."""
+        real = sampling._census_part
+
+        def part(args):
+            if (args[3].start > 0) == in_child:
+                fault()
+            return real(args)
+
+        monkeypatch.setattr(sampling, "_census_part", part)
+
+    def test_worker_exception_reraises_with_its_type_and_message(self, monkeypatch):
+        def fault():
+            raise InvariantViolation("planted in the worker")
+
+        self.plant(monkeypatch, fault)
+        with pytest.raises(InvariantViolation, match="^planted in the worker$"):
+            census(3, 4, 10, 1, parallelism=2)
+        result = run(CENSUS_ARGV + ["--jobs", "2"])
+        assert result == (3, "internal invariant violation: planted in the worker")
+
+    def test_killed_worker_raises(self, monkeypatch):
+        self.plant(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(InvariantViolation, match=r"^census worker for samples 5\.\.9 "
+                                                     r"ended without a result \(-9\)$"):
+            census(3, 4, 10, 1, parallelism=2)
+        result = run(CENSUS_ARGV + ["--jobs", "2", "--json"])
+        assert result.exit_code == 3 and "samples 5..9" in result.report
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_own_part_raising_kills_and_reaps_the_workers(self, monkeypatch, error):
+        def fault():
+            raise error("planted in this process")
+
+        self.plant(monkeypatch, fault, in_child=False)
+        self.plant(monkeypatch, lambda: time.sleep(60))  # the child would outlive the test
+        start = time.perf_counter()
+        with pytest.raises(error, match="^planted in this process$"):
+            census(3, 4, 10, 1, parallelism=2)
+        assert time.perf_counter() - start < 30
+
+    @pytest.mark.parametrize("rank, n", [(2, 9), (3, 6), (5, 4)])
+    def test_report_bytes_equal_for_every_jobs_count(self, monkeypatch, rank, n):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        argv = ["census", "--rank", str(rank), "--size", str(n), "--samples", "30",
+                "--seed", "5", "--json"]
+        reports = [run(argv + ["--jobs", str(jobs)]) for jobs in (1, 2, 3, 4)]
+        assert reports[0].exit_code == 0
+        assert reports == reports[:1] * 4
+
+    def test_workers_run_no_exit_handler_and_flush_no_buffer(self):
+        """A worker leaves by os._exit: what the caller buffered and
+        registered is written once, by the caller."""
+        script = ("import atexit, os, sys\n"
+                  "from tensorgraphs import census\n"
+                  "os.cpu_count = lambda: 4\n"
+                  "atexit.register(print, 'exit handler')\n"
+                  "print('buffered before the fork')\n"
+                  "census(3, 4, 12, 1, parallelism=4)\n")
+        src = os.path.dirname(os.path.dirname(sampling.__file__))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout == "buffered before the fork\nexit handler\n"
 
 
 @functools.cache

@@ -17,6 +17,7 @@ from tensorgraphs import (
     genus,
     is_planar,
     pair_cycle_count,
+    random_colored,
     ribbon_counts,
     stranded_components,
     to_stranded,
@@ -204,6 +205,18 @@ class TestTraceFaces:
                 for i in range(0, len(cycle), 2):  # edge hop first, then vertex pairing
                     assert edge_pair[cycle[i]] == cycle[i + 1]
                     assert vertex_pair[cycle[i + 1]] == cycle[(i + 2) % len(cycle)]
+
+
+    def test_slot_label_table_built_once_per_call(self, monkeypatch):
+        """One table for the slots and one for the strand walk, however
+        many vertices: not one per vertex."""
+        import tensorgraphs.topology as topology
+        s = to_stranded(random_colored(3, 20, 7))
+        calls = []
+        real = topology._slot_labels
+        monkeypatch.setattr(topology, "_slot_labels", lambda rank: calls.append(rank) or real(rank))
+        assert trace_faces(s).count == bicolored_face_count(random_colored(3, 20, 7))
+        assert calls == [3, 3]
 
 
 class TestStrandedComponents:
